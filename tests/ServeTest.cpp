@@ -972,6 +972,75 @@ TEST(ServeEngineTest, PipelinedEngineMatchesBarrierEngineBitForBit) {
   }
 }
 
+namespace {
+
+/// The three batch dispatch policies, as RunOptions / Engine::Options
+/// spell them.
+struct DispatchPolicyCase {
+  const char *Name;
+  bool Pipeline;
+  bool PackSmall;
+};
+
+const DispatchPolicyCase DispatchPolicies[] = {
+    {"barrier", false, false},
+    {"pipelined", true, false},
+    {"packed", true, true},
+};
+
+} // namespace
+
+TEST(ServeEngineTest, ServedBatchMatchesDirectBatchOnModelledClock) {
+  // One batch of six problems on a saturated two-multiprocessor device,
+  // run directly through runGpuBatch and served as exactly one engine
+  // batch: every per-problem completion cycle and the device's makespan
+  // must agree, under every dispatch policy.
+  SameShapeProblems P(6);
+  gpu::CostModel Model;
+  Model.NumMultiprocessors = 2;
+  gpu::Device Direct(Model);
+
+  for (const DispatchPolicyCase &Policy : DispatchPolicies) {
+    SCOPED_TRACE(Policy.Name);
+    RunOptions Ro;
+    Ro.Pipeline = Policy.Pipeline;
+    Ro.PackSmall = Policy.PackSmall;
+    DiagnosticEngine Diags;
+    std::optional<BatchResult> Batch =
+        P.Sw.runGpuBatch(P.Args, Direct, Diags, Ro);
+    ASSERT_TRUE(Batch.has_value()) << Diags.str();
+    ASSERT_EQ(Batch->CompletionCycles.size(), P.Args.size());
+
+    serve::Engine::Options Opts;
+    Opts.Model = Model;
+    Opts.Devices = 1;
+    Opts.MaxBatch = P.Args.size();
+    Opts.StartPaused = true;
+    Opts.Pipeline = Policy.Pipeline;
+    Opts.PackSmall = Policy.PackSmall;
+    serve::Engine Engine(Opts);
+    std::vector<serve::Future> Futures;
+    for (const auto &Args : P.Args) {
+      serve::Request Req;
+      Req.Fn = &P.Sw;
+      Req.Args = Args;
+      Futures.push_back(Engine.submit(std::move(Req)));
+    }
+    Engine.shutdown(serve::Engine::ShutdownMode::Drain);
+
+    for (size_t I = 0; I != Futures.size(); ++I) {
+      const serve::Response &Resp = Futures[I].wait();
+      ASSERT_EQ(Resp.St, serve::Status::Ok) << Resp.Error;
+      expectIdentical(Batch->Problems[I], Resp.Result);
+      EXPECT_EQ(Resp.CompletionCycle, Batch->CompletionCycles[I])
+          << "problem " << I;
+    }
+    serve::Engine::Stats Stats = Engine.stats();
+    ASSERT_EQ(Stats.Batches, 1u);
+    EXPECT_EQ(Stats.DeviceCycles[0], Batch->TotalCycles);
+  }
+}
+
 //===----------------------------------------------------------------------===//
 // Fair queueing, continuous batching, memoization, device placement
 //===----------------------------------------------------------------------===//
