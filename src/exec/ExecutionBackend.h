@@ -53,7 +53,7 @@ struct RunOptions {
   /// ranges of simulated-thread IDs run on real threads (the wavefront
   /// is independent within a partition, Sections 4.2–4.3), with a
   /// deterministic per-partition merge. 0 means "share the host worker
-  /// budget" (runGpuBatch divides it by the resolved batch worker count
+  /// budget" (exec::BatchExecutor divides it by the batch worker count
   /// so batch x scan nesting never oversubscribes); 1 is the serial
   /// path. Results, modelled cycles, metrics, and timelines are
   /// bit-identical for every worker count.
@@ -71,15 +71,11 @@ struct RunOptions {
   /// recursions whose interesting value is not at the root corner, e.g.
   /// the backward algorithm's B(start, 0)).
   bool KeepTable = false;
-  /// Evaluate cells with the AST tree-walker even when the plan carries a
-  /// compiled bytecode program — the differential-testing oracle. The
-  /// ParRec_EVAL_AST environment variable forces this globally.
-  /// Equivalent to Evaluator = EvalKind::Ast; kept for callers predating
-  /// the three-way knob. Either one forces the AST walker.
-  bool UseAstEvaluator = false;
   /// The cell evaluator (`parrec run --evaluator=ast|vm|jit`). Jit makes
   /// planning run the native JIT pass and execution dispatch the
-  /// compiled kernel; Ast is the oracle; Vm is the default.
+  /// compiled kernel; Ast is the differential-testing oracle, which the
+  /// ParRec_EVAL_AST environment variable forces globally; Vm is the
+  /// default.
   EvalKind Evaluator = EvalKind::Vm;
   /// JIT disk-cache directory override (`--jit-cache-dir=`); empty
   /// resolves to $ParRec_JIT_CACHE then ~/.cache/parrec-jit.

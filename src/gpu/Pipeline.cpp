@@ -53,14 +53,15 @@ uint64_t stageCost(const PipelineProfile &P, size_t Stage) {
 
 } // namespace
 
-PipelinePlanner::PipelinePlanner(const CostModel &Model, bool PackSmall,
+PipelinePlanner::PipelinePlanner(const CostModel &Model,
+                                 DispatchPolicy Policy,
                                  bool RecordStageStarts)
-    : Model(Model), PackSmall(PackSmall),
+    : Model(Model), Policy(Policy),
       RecordStageStarts(RecordStageStarts),
       Mps(std::max(1u, Model.NumMultiprocessors)) {}
 
 bool PipelinePlanner::joinsOpenGroup(const PipelineProfile &Profile) const {
-  if (!PackSmall || OpenMembers.empty())
+  if (Policy != DispatchPolicy::Packed || OpenMembers.empty())
     return false;
   const PipelineProfile &First = OpenProfiles.front();
   // Packed problems share one launch's lockstep stages, so they must
@@ -79,6 +80,10 @@ std::vector<size_t> PipelinePlanner::add(PipelineProfile Profile) {
   assert(!Finished && "add() after finish()");
   size_t Index = Placements.size();
   Placements.emplace_back();
+  if (Policy == DispatchPolicy::Barrier) {
+    BarrierCycles.push_back(Profile.TotalCycles);
+    return {};
+  }
   std::vector<size_t> Sealed;
   if (!joinsOpenGroup(Profile))
     Sealed = sealOpenGroup();
@@ -169,8 +174,18 @@ std::vector<size_t> PipelinePlanner::sealOpenGroup() {
 
 std::vector<size_t> PipelinePlanner::finish() {
   assert(!Finished && "finish() called twice");
-  std::vector<size_t> Sealed = sealOpenGroup();
   Finished = true;
+  if (Policy == DispatchPolicy::Barrier) {
+    // One launch for the whole batch: nothing resolves before it drains.
+    Stats.MakespanCycles = Device(Model).dispatchProblems(BarrierCycles);
+    std::vector<size_t> All(numProblems());
+    for (size_t I = 0; I != All.size(); ++I) {
+      All[I] = I;
+      Placements[I].CompletionCycles = Stats.MakespanCycles;
+    }
+    return All;
+  }
+  std::vector<size_t> Sealed = sealOpenGroup();
 
   Stats.Groups = NextGroup;
   uint64_t MaxFinish = 0;
@@ -186,7 +201,6 @@ std::vector<size_t> PipelinePlanner::finish() {
     // exceeds the serial sum; the difference is the recovered overlap.
     uint64_t Overlap = Mp.SerialCycles - Mp.FinalFinish;
     uint64_t Idle = MaxFinish - Mp.FinalFinish;
-    Stats.MultiprocessorFinish.push_back(Mp.FinalFinish);
     Stats.MultiprocessorOverlap.push_back(Overlap);
     Stats.MultiprocessorIdle.push_back(Idle);
     Stats.OverlapCycles += Overlap;
@@ -197,30 +211,37 @@ std::vector<size_t> PipelinePlanner::finish() {
 
 void gpu::emitBlockTimeline(unsigned Block,
                             const std::vector<PartitionSample> &Timeline,
-                            const std::vector<uint64_t> &StageStarts,
-                            unsigned LaneOffset, uint64_t Problem) {
+                            const PipelinePlacement *Placed,
+                            uint64_t Problem) {
   if (!obs::Tracer::enabled())
     return;
   obs::Tracer &T = obs::Tracer::instance();
-  size_t Stages = std::min(Timeline.size(), StageStarts.size());
+  const std::string Label =
+      Placed ? "p" + std::to_string(Problem) + " " : std::string();
+  size_t Stages = Timeline.size();
+  if (Placed)
+    Stages = std::min(Stages, Placed->StageStartCycles.size());
+  uint64_t Cursor = 0;
   for (size_t I = 0; I != Stages; ++I) {
     const PartitionSample &S = Timeline[I];
+    uint64_t Start = Placed ? Placed->StageStartCycles[I] : Cursor;
+    Cursor = Start + S.MaxThreadCycles + S.BarrierCycles;
     obs::DeviceSlice Slice;
     Slice.Block = Block;
-    Slice.Name = "p" + std::to_string(Problem) + " partition " +
-                 std::to_string(S.Partition);
-    Slice.StartCycles = StageStarts[I];
+    Slice.Name = Label + "partition " + std::to_string(S.Partition);
+    Slice.StartCycles = Start;
     Slice.DurCycles = S.MaxThreadCycles;
-    Slice.Args = {
-        {"problem", std::to_string(Problem)},
-        {"lane_offset", std::to_string(LaneOffset)},
-        {"partition", std::to_string(S.Partition)},
-        {"cells", std::to_string(S.Cells)},
-        {"max_thread_cycles", std::to_string(S.MaxThreadCycles)},
-        {"sum_thread_cycles", std::to_string(S.SumThreadCycles)},
-        {"active_threads", std::to_string(S.ActiveThreads)},
-        {"threads", std::to_string(S.Threads)},
-    };
+    if (Placed)
+      Slice.Args = {{"problem", std::to_string(Problem)},
+                    {"lane_offset", std::to_string(Placed->LaneOffset)}};
+    Slice.Args.insert(
+        Slice.Args.end(),
+        {{"partition", std::to_string(S.Partition)},
+         {"cells", std::to_string(S.Cells)},
+         {"max_thread_cycles", std::to_string(S.MaxThreadCycles)},
+         {"sum_thread_cycles", std::to_string(S.SumThreadCycles)},
+         {"active_threads", std::to_string(S.ActiveThreads)},
+         {"threads", std::to_string(S.Threads)}});
     char Buf[32];
     std::snprintf(Buf, sizeof(Buf), "%.4f", S.occupancy());
     Slice.Args.push_back({"occupancy", Buf});
@@ -229,9 +250,10 @@ void gpu::emitBlockTimeline(unsigned Block,
       obs::DeviceSlice BarrierSlice;
       BarrierSlice.Block = Block;
       BarrierSlice.Name = "barrier";
-      BarrierSlice.StartCycles = StageStarts[I] + S.MaxThreadCycles;
+      BarrierSlice.StartCycles = Start + S.MaxThreadCycles;
       BarrierSlice.DurCycles = S.BarrierCycles;
-      BarrierSlice.Args = {{"problem", std::to_string(Problem)}};
+      if (Placed)
+        BarrierSlice.Args = {{"problem", std::to_string(Problem)}};
       T.recordDevice(std::move(BarrierSlice));
     }
   }

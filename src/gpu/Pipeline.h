@@ -6,20 +6,23 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Models systolic overlap between the problems of one batch. The barrier
-/// dispatcher (Device::dispatchProblems) runs each problem's partitions
-/// back-to-back on its multiprocessor; the pipeline planner instead lets
-/// partition k+1 of problem i+1 start as soon as partition k of problem i
-/// has released the multiprocessor's stage resource, so a problem's root
-/// cell resolves — and its result can be published — long before the
-/// batch drains. Small problems whose partitions underfill a block can
-/// additionally be packed into one simulated launch with per-problem
-/// lane offsets.
+/// Models how the problems of one batch share the device's
+/// multiprocessors. Three dispatch policies time the same execution:
+/// the barrier policy places problems longest-first on the least-loaded
+/// multiprocessor (Device::dispatchProblems) and resolves everything
+/// when the batch drains; the pipelined policy lets partition k+1 of
+/// problem i+1 start as soon as partition k of problem i has released
+/// the multiprocessor's stage resource, so a problem's root cell
+/// resolves — and its result can be published — long before the batch
+/// drains; the packed policy additionally packs small problems whose
+/// partitions underfill a block into one simulated launch with
+/// per-problem lane offsets.
 ///
 /// The planner only re-times work that has already been executed: it
-/// consumes per-partition timelines and never touches values, costs or
-/// per-problem cycle totals, so every observable except the modelled
-/// wall clock is bit-identical to the barrier path.
+/// consumes per-problem cycle totals (and, for the pipelined policies,
+/// per-partition timelines) and never touches values or costs, so every
+/// observable except the modelled wall clock is bit-identical across
+/// policies.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -34,6 +37,27 @@
 
 namespace parrec {
 namespace gpu {
+
+/// How a batch's problems are laid onto the multiprocessors.
+enum class DispatchPolicy {
+  /// Longest-first placement, one launch; every problem resolves when the
+  /// batch drains.
+  Barrier,
+  /// Systolic overlap of consecutive problems on each multiprocessor;
+  /// each problem resolves when its launch seals.
+  Pipelined,
+  /// Pipelined, plus packing of consecutive underfilled problems into one
+  /// launch.
+  Packed,
+};
+
+/// The policy selected by the Pipeline / PackSmall options (RunOptions,
+/// serve::Engine::Options); PackSmall has no effect without Pipeline.
+inline DispatchPolicy dispatchPolicy(bool Pipeline, bool PackSmall) {
+  if (!Pipeline)
+    return DispatchPolicy::Barrier;
+  return PackSmall ? DispatchPolicy::Packed : DispatchPolicy::Pipelined;
+}
 
 /// One problem's modelled execution profile, distilled from the
 /// partition timeline its block timer recorded.
@@ -60,7 +84,8 @@ struct PipelineProfile {
 };
 
 /// Where one problem landed and when its result resolves. Cycles are
-/// measured from batch start and include the kernel launch.
+/// measured from batch start and include the kernel launch. Only
+/// CompletionCycles is set under the barrier policy.
 struct PipelinePlacement {
   /// Multiprocessor the problem's (packed) launch occupies.
   unsigned Multiprocessor = 0;
@@ -75,7 +100,8 @@ struct PipelinePlacement {
   std::vector<uint64_t> StageStartCycles;
 };
 
-/// Batch-level accounting, valid after PipelinePlanner::finish().
+/// Batch-level accounting, valid after PipelinePlanner::finish(). Only
+/// the makespan is set under the barrier policy.
 struct PipelineStats {
   /// Busiest-multiprocessor finish plus the kernel launch: the batch's
   /// modelled wall clock.
@@ -87,17 +113,21 @@ struct PipelineStats {
   uint64_t IdleCycles = 0;
   /// Launches after packing (== problems when packing is off).
   uint64_t Groups = 0;
-  /// Per used multiprocessor: pipelined finish cycle (launch excluded).
-  std::vector<uint64_t> MultiprocessorFinish;
   /// Per used multiprocessor: serial minus pipelined cycles.
   std::vector<uint64_t> MultiprocessorOverlap;
   /// Per used multiprocessor: busiest finish minus own finish.
   std::vector<uint64_t> MultiprocessorIdle;
 };
 
-/// Plans the systolic execution of one batch. Problems are fed in
-/// submission order via add(); the planner packs compatible consecutive
-/// small problems into one launch (when enabled), assigns each sealed
+/// Plans the execution of one batch under a DispatchPolicy. Problems are
+/// fed in submission order via add().
+///
+/// Under the barrier policy add() only records each problem's cycle
+/// total; finish() places them all with Device::dispatchProblems and
+/// finalises every problem at the resulting makespan.
+///
+/// Under the pipelined policies the planner packs compatible consecutive
+/// small problems into one launch (Packed only), assigns each sealed
 /// launch to the multiprocessor that finishes it earliest, and times its
 /// partitions with the tandem recurrence
 ///
@@ -117,17 +147,27 @@ struct PipelineStats {
 /// decisions are deterministic in submission order.
 class PipelinePlanner {
 public:
-  PipelinePlanner(const CostModel &Model, bool PackSmall,
+  PipelinePlanner(const CostModel &Model, DispatchPolicy Policy,
                   bool RecordStageStarts);
+  /// A pipelined planner; \p PackSmall selects the packed policy.
+  PipelinePlanner(const CostModel &Model, bool PackSmall,
+                  bool RecordStageStarts)
+      : PipelinePlanner(Model, dispatchPolicy(/*Pipeline=*/true, PackSmall),
+                        RecordStageStarts) {}
+
+  /// True when placement reads per-partition timelines (the pipelined
+  /// policies); the barrier policy needs cycle totals only.
+  bool needsTimelines() const { return Policy != DispatchPolicy::Barrier; }
 
   /// Feeds the next problem (submission order). Returns the problems
   /// finalised by this step: when \p Profile does not join the open
   /// packed launch, that launch seals and its members' placements —
-  /// completion cycle included — are final.
+  /// completion cycle included — are final. Always empty under the
+  /// barrier policy.
   std::vector<size_t> add(PipelineProfile Profile);
 
   /// Seals the open launch and computes batch stats. Returns the last
-  /// problems to become final.
+  /// problems to become final (every problem, under the barrier policy).
   std::vector<size_t> finish();
 
   size_t numProblems() const { return Placements.size(); }
@@ -160,8 +200,10 @@ private:
   std::vector<size_t> sealOpenGroup();
 
   CostModel Model;
-  bool PackSmall = false;
+  DispatchPolicy Policy;
   bool RecordStageStarts = false;
+  /// Per-problem cycle totals, recorded under the barrier policy.
+  std::vector<uint64_t> BarrierCycles;
 
   std::vector<PipelinePlacement> Placements;
   std::vector<Multiprocessor> Mps;
@@ -175,16 +217,16 @@ private:
   uint64_t NextGroup = 0;
 };
 
-/// Emits \p Timeline as overlapped per-partition slices on
-/// simulated-device lane \p Block, starting each partition at the
-/// pipeline-planned cycle in \p StageStarts rather than back-to-back
-/// from zero. \p LaneOffset and \p Problem label the slices so packed
-/// problems sharing a block stay distinguishable. No-op when tracing is
-/// disabled.
+/// Emits \p Timeline as per-partition slices on simulated-device lane
+/// \p Block of the global tracer (no-op when tracing is disabled).
+/// Without \p Placed the partitions run back to back from cycle 0; with
+/// it they start at its planned StageStartCycles, and its lane offset and
+/// \p Problem label the slices so packed problems sharing a block stay
+/// distinguishable.
 void emitBlockTimeline(unsigned Block,
                        const std::vector<PartitionSample> &Timeline,
-                       const std::vector<uint64_t> &StageStarts,
-                       unsigned LaneOffset, uint64_t Problem);
+                       const PipelinePlacement *Placed = nullptr,
+                       uint64_t Problem = 0);
 
 } // namespace gpu
 } // namespace parrec

@@ -63,10 +63,6 @@
 #include <vector>
 
 namespace parrec {
-namespace obs {
-class Span;
-} // namespace obs
-
 namespace serve {
 
 /// The serving engine. Thread-safe: any thread may submit; completion
@@ -251,6 +247,11 @@ private:
     }
   };
 
+  /// Stamps \p Resp with P's id, ticks and completion sequence number,
+  /// records it (latency histograms for Ok, serve.responses, the flight
+  /// recorder's Complete event) and resolves P's future.
+  void respond(Pending &P, Response Resp);
+  /// Resolves P with a non-Ok status.
   void complete(Pending &P, Status St, std::string Error = {});
   /// Interns \p Tenant into a bounded id table for flight-recorder
   /// entries (id 0 = unnamed; over-cardinality names collapse to one
@@ -276,14 +277,10 @@ private:
   /// P.MemoKey, when P is memo-eligible.
   void maybeMemoize(const Pending &P, const exec::RunResult &R,
                     uint64_t CompletionCycle);
+  /// Sheds expired members, then runs the batch on exec::BatchExecutor
+  /// and resolves each member's future as the dispatch policy
+  /// finalises it.
   void executeBatch(DeviceLane &Lane, Batch &B);
-  /// The Options::Pipeline dispatch path: systolic overlap plus early,
-  /// in-submission-order future resolution.
-  void executeBatchPipelined(DeviceLane &Lane, Batch &B,
-                             std::vector<Pending> &Members, obs::Span &Span,
-                             std::chrono::steady_clock::time_point ExecStart,
-                             const exec::SimulatedGpuBackend &Backend,
-                             unsigned BatchWorkers, unsigned ScanWorkers);
 
   Options Opts;
   std::atomic<uint64_t> Clock{0};

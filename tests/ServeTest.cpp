@@ -302,7 +302,8 @@ TEST(ServeEngineTest, InvalidRequestFailsWithDiagnostics) {
   serve::Request Bad = P.request();
   Bad.Args.pop_back();
   Bad.Args.pop_back(); // Wrong arity: the domain cannot be derived.
-  const serve::Response &Resp = Engine.submit(std::move(Bad)).wait();
+  serve::Future F = Engine.submit(std::move(Bad));
+  const serve::Response &Resp = F.wait();
   EXPECT_EQ(Resp.St, serve::Status::Failed);
   EXPECT_FALSE(Resp.Error.empty());
   Engine.shutdown(serve::Engine::ShutdownMode::Drain);
@@ -1038,6 +1039,40 @@ TEST(ServeEngineTest, ServedBatchMatchesDirectBatchOnModelledClock) {
     serve::Engine::Stats Stats = Engine.stats();
     ASSERT_EQ(Stats.Batches, 1u);
     EXPECT_EQ(Stats.DeviceCycles[0], Batch->TotalCycles);
+  }
+}
+
+TEST(ServeEngineTest, CallbacksSeeCompletedCountedBeforeResolution) {
+  // A callback runs the moment its future resolves, so by then the
+  // engine must already count the request: Completed can never lag the
+  // callbacks that have run.
+  SameShapeProblems P(4);
+  for (const DispatchPolicyCase &Policy : DispatchPolicies) {
+    SCOPED_TRACE(Policy.Name);
+    serve::Engine::Options Opts;
+    Opts.Devices = 1;
+    Opts.MaxBatch = P.Args.size();
+    Opts.StartPaused = true;
+    Opts.Pipeline = Policy.Pipeline;
+    Opts.PackSmall = Policy.PackSmall;
+    serve::Engine Engine(Opts);
+    std::atomic<uint64_t> Calls{0};
+    std::atomic<uint64_t> Stale{0};
+    std::vector<serve::Future> Futures;
+    for (const auto &Args : P.Args) {
+      serve::Request Req;
+      Req.Fn = &P.Sw;
+      Req.Args = Args;
+      Futures.push_back(
+          Engine.submit(std::move(Req), [&](const serve::Response &) {
+            uint64_t SoFar = ++Calls;
+            if (Engine.stats().Completed < SoFar)
+              ++Stale;
+          }));
+    }
+    Engine.shutdown(serve::Engine::ShutdownMode::Drain);
+    EXPECT_EQ(Calls.load(), P.Args.size());
+    EXPECT_EQ(Stale.load(), 0u);
   }
 }
 
