@@ -9,8 +9,10 @@
 
 #include "codegen/LogSpace.h"
 #include "exec/Plan.h"
+#include "exec/Table.h"
 #include "obs/Metrics.h"
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cinttypes>
@@ -184,21 +186,47 @@ std::string intLit(int64_t V) {
   return std::to_string(V) + "LL";
 }
 
-/// Renders one ExecutablePlan as a self-contained C translation unit.
-/// Every statement performs at most one floating-point operation (so
-/// -ffp-contract=off keeps the op sequence identical to the VM's), real
-/// immediates are hexfloat literals, and log-space helpers copy
-/// LogSpace.h operation-for-operation.
+/// Where kernelExtents puts each box-dependent value, for a nest with P
+/// parameters over N dimensions.
+struct ExtentSlots {
+  unsigned P, N;
+  unsigned firstPartition() const { return P; }
+  unsigned lastPartition() const { return P + 1; }
+  /// The box's minimum partition, the window's plane origin.
+  unsigned minPartition() const { return P + 2; }
+  /// Coordinate D of the root point, the box's upper corner.
+  unsigned root(unsigned D) const { return P + 3 + D; }
+  /// Table stride of dimension D; 0 for the dimension a window drops.
+  unsigned stride(unsigned D) const { return P + 3 + N + D; }
+  unsigned tableBase() const { return P + 3 + 2 * N; }
+  unsigned planeSize() const { return P + 4 + 2 * N; }
+  unsigned size() const { return P + 5 + 2 * N; }
+};
+
+/// The dimension with stride 1 in exec::tableLayout when \p Dropped is
+/// left out (-1: none): the last kept dimension, or -1 when none is kept.
+int unitStrideDim(unsigned N, int Dropped) {
+  int Last = static_cast<int>(N) - 1;
+  return Last == Dropped ? Last - 1 : Last;
+}
+
+/// Renders one PlanShape as a self-contained C translation unit. The
+/// source depends on the shape alone: every box-dependent value is read
+/// from the run-time extents. Every statement performs at most one
+/// floating-point operation (so -ffp-contract=off keeps the op sequence
+/// identical to the VM's), real immediates are hexfloat literals, and
+/// log-space helpers copy LogSpace.h operation-for-operation.
 class CEmitter {
 public:
-  explicit CEmitter(const exec::ExecutablePlan &Plan)
-      : Plan(Plan), Prog(Plan.Program.get()) {}
+  explicit CEmitter(const exec::PlanShape &Shape)
+      : Shape(Shape), Prog(Shape.Program.get()),
+        Slots{Shape.Nest.NumParams, Shape.Nest.NumRecursionDims} {}
 
   std::string render() {
-    if (!Prog || Prog->NumRegs == 0 || Plan.Box.numDims() == 0 ||
-        Plan.Nest.NumParams != 0 ||
-        Prog->NumDims != Plan.Box.numDims() ||
-        Plan.Nest.Levels.size() != 1 + static_cast<size_t>(Plan.Box.numDims()))
+    unsigned N = Slots.N;
+    if (!Prog || Prog->NumRegs == 0 || N == 0 || Prog->NumDims != N ||
+        Shape.Nest.Levels.size() != 1 + static_cast<size_t>(N) ||
+        Shape.Sched.Coefficients.size() != N)
       return std::string();
     emitPrelude();
     emitKernel();
@@ -206,8 +234,11 @@ public:
   }
 
 private:
-  const exec::ExecutablePlan &Plan;
+  const exec::PlanShape &Shape;
   const BytecodeProgram *Prog;
+  ExtentSlots Slots;
+  /// The dimension the scan being emitted assumes a window drops.
+  int Dropped = -1;
   std::string Out;
   int Indent = 0;
   int NextRange = 0;
@@ -238,20 +269,61 @@ private:
     return Buf;
   }
 
-  /// Affine expression over the nest dimensions, rendered over v0..vN.
-  /// Only variables below \p MaxVar may appear (outer loop variables).
-  std::string nestAffine(const poly::AffineExpr &E, unsigned MaxVar) {
+  /// Nest dimension \p D as a C variable: the box parameters are the
+  /// kernel's e<k> locals, the time step is v0 and the point v1..vN.
+  std::string nestVar(unsigned D) const {
+    unsigned Params = Shape.Nest.NumParams;
+    return D < Params ? "e" + std::to_string(D)
+                      : "v" + std::to_string(D - Params);
+  }
+
+  /// Affine expression over the nest dimensions. Only the parameters and
+  /// the loop variables outside level \p Level may appear.
+  std::string nestAffine(const poly::AffineExpr &E, unsigned Level) {
     std::string S = "(" + intLit(E.constantTerm());
     for (unsigned D = 0; D != E.numDims(); ++D) {
       int64_t C = E.coefficient(D);
       if (C == 0)
         continue;
-      if (D >= MaxVar)
+      if (D >= Shape.Nest.NumParams + Level)
         fail(); // Bound references a not-yet-defined loop variable.
-      S += " + " + intLit(C) + " * v" + std::to_string(D);
+      S += " + " + intLit(C) + " * " + nestVar(D);
     }
     S += ")";
     return S;
+  }
+
+  /// sum_d stride_d * X[d] over the dimensions a table keeps when it
+  /// drops \p Drop (-1: none). The row-major layout's unit stride is a
+  /// constant; the other strides come from the extents.
+  std::string planeIndex(const std::vector<std::string> &X, int Drop) {
+    int Unit = unitStrideDim(Slots.N, Drop);
+    std::string Index = "0ULL";
+    for (unsigned D = 0; D != Slots.N; ++D) {
+      int Dim = static_cast<int>(D);
+      if (Dim == Drop)
+        continue;
+      Index += " + ";
+      if (Dim != Unit)
+        Index += "ts" + std::to_string(D) + " * ";
+      Index += "(uint64_t)" + X[D];
+    }
+    return Index;
+  }
+
+  /// The table slot of the point \p X, through the run-time layout:
+  /// SlidingWindowTable::slot for a window, FullTable's flatten (as
+  /// stride sum minus base) otherwise.
+  std::string addr(const std::vector<std::string> &X) {
+    if (!Shape.UseWindow)
+      return "(" + planeIndex(X, -1) + " - t_base)";
+    std::string Part = "(" + intLit(0);
+    for (unsigned D = 0; D != Slots.N; ++D)
+      if (int64_t C = Shape.Sched.Coefficients[D])
+        Part += " + " + intLit(C) + " * " + X[D];
+    Part += ")";
+    return "pr_wslot(" + Part + ", " + planeIndex(X, Dropped) +
+           ", min_p, t_plane, t_base)";
   }
 
   /// Affine expression over the recursion point, rendered over v1..vN.
@@ -266,19 +338,10 @@ private:
     return S;
   }
 
-  std::string pointVarList() {
-    std::string S;
-    for (unsigned D = 0; D != Prog->NumDims; ++D) {
-      if (D)
-        S += ", ";
-      S += "v" + std::to_string(1 + D);
-    }
-    return S;
-  }
-
   void emitPrelude() {
-    line("/* Generated by ParRec NativeJit: one ExecutablePlan, fully");
-    line(" * specialised. Bit-identical to the bytecode VM by");
+    line("/* Generated by ParRec NativeJit: one plan shape, every box of");
+    line(" * it (bounds, partitions and table layout come from the");
+    line(" * run-time extents). Bit-identical to the bytecode VM by");
     line(" * construction: one FP op per statement, -ffp-contract=off,");
     line(" * hexfloat immediates, LogSpace.h helpers copied op-for-op. */");
     line("#include <math.h>");
@@ -296,7 +359,8 @@ private:
     line("typedef struct { const pr_seq *seqs; const pr_matrix *matrices;");
     line("  const pr_hmm *hmms; const int64_t *int_args;");
     line("  const double *real_args; double *table;");
-    line("  uint64_t cyc_op, cyc_trans, cyc_table, cyc_model; } pr_args;");
+    line("  uint64_t cyc_op, cyc_trans, cyc_table, cyc_model;");
+    line("  const int64_t *extents; } pr_args;");
     line("typedef struct { uint64_t ops, table_reads, table_writes,");
     line("  model_reads, transcendentals, cells;");
     line("  double table_max, root_value; uint64_t has_root; } pr_slot_t;");
@@ -328,80 +392,26 @@ private:
     line("    return hi + log1p(exp(lo - hi));");
     line("  }");
     line("}");
-    emitAddr();
+    if (Shape.UseWindow)
+      emitWindowSlot();
     line("");
   }
 
-  /// pr_addr: the table slot of a recursion point, baked from the plan.
-  /// Sliding windows replicate SlidingWindowTable::slot (fused strides +
-  /// Lemire fastmod); full tables replicate FullTable::flatten.
-  void emitAddr() {
-    unsigned N = Plan.Box.numDims();
-    std::string Params;
-    for (unsigned D = 0; D != N; ++D) {
-      if (D)
-        Params += ", ";
-      Params += "int64_t x" + std::to_string(D);
-    }
-    line("static inline uint64_t pr_addr(%s) {", Params.c_str());
-    if (Plan.UseWindow) {
-      if (Plan.Sched.Coefficients.size() != N) {
-        fail();
-        line("}");
-        return;
-      }
-      // Same stride walk as the SlidingWindowTable constructor.
-      std::vector<uint64_t> Strides(N, 0);
-      uint64_t BaseIndex = 0;
-      uint64_t Stride = 1;
-      for (unsigned D = N; D-- > 0;) {
-        if (D == Plan.WindowDropDim)
-          continue;
-        Strides[D] = Stride;
-        BaseIndex += static_cast<uint64_t>(Plan.Box.Lower[D]) * Stride;
-        Stride *= static_cast<uint64_t>(Plan.Box.extent(D));
-      }
-      uint64_t PlaneSize = Stride;
-      uint64_t NumPlanes = static_cast<uint64_t>(Plan.WindowDepth) + 1;
-      uint64_t ModMagic =
-          std::numeric_limits<uint64_t>::max() / NumPlanes + 1;
-      int64_t MinPartition = Plan.Sched.minOver(Plan.Box);
-
-      std::string Part = "(" + intLit(0);
-      std::string Index = "0ULL";
-      for (unsigned D = 0; D != N; ++D) {
-        int64_t C = Plan.Sched.Coefficients[D];
-        if (C != 0)
-          Part += " + " + intLit(C) + " * x" + std::to_string(D);
-        if (Strides[D] != 0)
-          Index += " + " + std::to_string(Strides[D]) + "ULL * (uint64_t)x" +
-                   std::to_string(D);
-      }
-      Part += ")";
-      line("  int64_t wp = %s;", Part.c_str());
-      line("  uint64_t wi = %s;", Index.c_str());
-      line("  uint64_t wx = (uint64_t)(wp - %s);", intLit(MinPartition).c_str());
-      line("  uint64_t wplane = (uint64_t)(");
-      line("      (unsigned __int128)(%" PRIu64 "ULL * wx) * %" PRIu64
-           "ULL >> 64);",
-           ModMagic, NumPlanes);
-      line("  return wplane * %" PRIu64 "ULL + (wi - %" PRIu64 "ULL);",
-           PlaneSize, BaseIndex);
-    } else {
-      // Same stride walk as the FullTable constructor.
-      std::vector<uint64_t> Strides(N, 0);
-      uint64_t Stride = 1;
-      for (unsigned D = N; D-- > 0;) {
-        Strides[D] = Stride;
-        Stride *= static_cast<uint64_t>(Plan.Box.extent(D));
-      }
-      std::string Index = "0ULL";
-      for (unsigned D = 0; D != N; ++D)
-        Index += " + (uint64_t)(x" + std::to_string(D) + " - " +
-                 intLit(Plan.Box.Lower[D]) + ") * " +
-                 std::to_string(Strides[D]) + "ULL";
-      line("  return %s;", Index.c_str());
-    }
+  /// pr_wslot: SlidingWindowTable::slot's ring-plane lookup (Lemire
+  /// fastmod). The plane count depends on the window depth alone, so it
+  /// is the one table constant baked into the source.
+  void emitWindowSlot() {
+    uint64_t NumPlanes = static_cast<uint64_t>(Shape.WindowDepth) + 1;
+    uint64_t ModMagic = std::numeric_limits<uint64_t>::max() / NumPlanes + 1;
+    line("static inline uint64_t pr_wslot(int64_t wp, uint64_t wi,");
+    line("                                int64_t min_p, uint64_t plane,");
+    line("                                uint64_t base) {");
+    line("  uint64_t wx = (uint64_t)(wp - min_p);");
+    line("  uint64_t wplane = (uint64_t)(");
+    line("      (unsigned __int128)(%" PRIu64 "ULL * wx) * %" PRIu64
+         "ULL >> 64);",
+         ModMagic, NumPlanes);
+    line("  return (wplane * plane - base) + wi;");
     line("}");
   }
 
@@ -411,16 +421,59 @@ private:
     line("                 int32_t check_root, pr_slot_t *slot,");
     line("                 uint64_t *thread_cycles) {");
     ++Indent;
+    // The extents are copied into locals once per call so the compiler
+    // keeps them in registers through the whole scan.
+    line("const int64_t *ext = a->extents;");
+    for (unsigned P = 0; P != Slots.P; ++P)
+      line("const int64_t e%u = ext[%u];", P, P);
+    line("const int64_t min_p = ext[%u];", Slots.minPartition());
+    for (unsigned D = 0; D != Slots.N; ++D)
+      line("const uint64_t ts%u = (uint64_t)ext[%u];", D, Slots.stride(D));
+    line("const uint64_t t_base = (uint64_t)ext[%u];", Slots.tableBase());
+    line("const uint64_t t_plane = (uint64_t)ext[%u];", Slots.planeSize());
     line("pr_reg r[%u];", Prog->NumRegs);
     line("(void)n_threads;");
-    line("if (p < %s || p > %s)", intLit(Plan.FirstPartition).c_str(),
-         intLit(Plan.LastPartition).c_str());
+    line("(void)min_p;");
+    line("(void)t_plane;");
+    line("if (p < ext[%u] || p > ext[%u])", Slots.firstPartition(),
+         Slots.lastPartition());
     line("  return;");
     line("const int64_t v0 = p;");
+    if (!Shape.UseWindow) {
+      emitThreadLoop();
+    } else {
+      // Which unit-coefficient dimension the window drops depends on the
+      // box (its stride is 0). One copy of the scan per candidate, picked
+      // once per call, keeps the table addressing free of run-time
+      // strides that are always 0 or 1.
+      std::vector<int> Candidates;
+      for (unsigned D = 0; D != Slots.N; ++D)
+        if (int64_t C = Shape.Sched.Coefficients[D]; C == 1 || C == -1)
+          Candidates.push_back(static_cast<int>(D));
+      if (Candidates.empty())
+        fail();
+      for (size_t I = 0; I != Candidates.size(); ++I) {
+        Dropped = Candidates[I];
+        if (I + 1 == Candidates.size())
+          line(I ? "else {" : "{");
+        else
+          line("%sif (ts%d == 0ULL) {", I ? "else " : "", Dropped);
+        ++Indent;
+        emitThreadLoop();
+        --Indent;
+        line("}");
+      }
+    }
+    --Indent;
+    line("}");
+  }
+
+  /// The simulated-thread loop over one partition's nest.
+  void emitThreadLoop() {
     line("for (uint32_t t = t_begin; t != t_end; ++t) {");
     ++Indent;
     line("uint64_t cyc = 0;");
-    bool Striped = Plan.Nest.threadedLevel().has_value();
+    bool Striped = Shape.Nest.threadedLevel().has_value();
     if (!Striped) {
       // No space loop to stripe: every point belongs to simulated
       // thread 0, exactly as forEachPointForThread assigns it.
@@ -435,18 +488,16 @@ private:
     line("thread_cycles[t] = cyc;");
     --Indent;
     line("}");
-    --Indent;
-    line("}");
   }
 
   void emitNestLevel(unsigned L) {
     if (Failed)
       return;
-    if (L == Plan.Nest.Levels.size()) {
+    if (L == Shape.Nest.Levels.size()) {
       emitCell();
       return;
     }
-    const poly::LoopLevel &Level = Plan.Nest.Levels[L];
+    const poly::LoopLevel &Level = Shape.Nest.Levels[L];
     if (Level.isFixed()) {
       if (Level.FixedDivisor == 1) {
         line("{");
@@ -505,8 +556,8 @@ private:
       line("    hi%u = b;", L);
       line("}");
     }
-    bool ThisStriped = Plan.Nest.threadedLevel() &&
-                       *Plan.Nest.threadedLevel() == L;
+    bool ThisStriped = Shape.Nest.threadedLevel() &&
+                       *Shape.Nest.threadedLevel() == L;
     // With one simulated thread the stripe start/step degenerate to
     // lo/1, so the striped form is exact for every thread count.
     if (ThisStriped)
@@ -552,8 +603,11 @@ private:
       snprintf(Buf, sizeof(Buf), Conv, Prog->ResultReg);
       ConvExpr = Buf;
     }
+    std::vector<std::string> Point;
+    for (unsigned D = 0; D != Slots.N; ++D)
+      Point.push_back("v" + std::to_string(1 + D));
     line("double cv = %s;", ConvExpr.c_str());
-    line("a->table[pr_addr(%s)] = cv;", pointVarList().c_str());
+    line("a->table[%s] = cv;", addr(Point).c_str());
     line("d_tw += 1ULL;"); // The cell's own store, as evalCell charges it.
     line("slot->ops += d_ops;");
     line("slot->table_reads += d_tr;");
@@ -566,9 +620,9 @@ private:
     line("if (cv > slot->table_max)");
     line("  slot->table_max = cv;");
     std::string RootCond = "check_root";
-    for (unsigned D = 0; D != Prog->NumDims; ++D)
-      RootCond += " && v" + std::to_string(1 + D) + " == " +
-                  intLit(Plan.Box.Upper[D]);
+    for (unsigned D = 0; D != Slots.N; ++D)
+      RootCond += " && v" + std::to_string(1 + D) + " == ext[" +
+                  std::to_string(Slots.root(D)) + "]";
     line("if (%s) {", RootCond.c_str());
     line("  slot->root_value = cv;");
     line("  slot->has_root = 1ULL;");
@@ -724,7 +778,7 @@ private:
     }
     line("{");
     ++Indent;
-    std::string ArgList;
+    std::vector<std::string> Point;
     for (unsigned A = 0; A != Cd.NumArgs; ++A) {
       const CallArg &Ca = Prog->CallArgsPool[Cd.FirstArg + A];
       if (Ca.Reg >= 0)
@@ -732,11 +786,9 @@ private:
       else
         line("int64_t tg%u = %s;", A,
              pointAffine(&Prog->AffinePool[Ca.CoeffOffset], Ca.Bias).c_str());
-      if (A)
-        ArgList += ", ";
-      ArgList += "tg" + std::to_string(A);
+      Point.push_back("tg" + std::to_string(A));
     }
-    line("double tv = a->table[pr_addr(%s)];", ArgList.c_str());
+    line("double tv = a->table[%s];", addr(Point).c_str());
     switch (In.Op) {
     case Opcode::TableReadReal:
       line("r[%d].d = tv;", In.A);
@@ -918,8 +970,33 @@ private:
 
 } // namespace
 
-std::string codegen::renderKernelSource(const exec::ExecutablePlan &Plan) {
-  return CEmitter(Plan).render();
+std::string codegen::renderKernelSource(const exec::PlanShape &Shape) {
+  return CEmitter(Shape).render();
+}
+
+std::vector<int64_t> codegen::kernelExtents(const exec::ExecutablePlan &Plan) {
+  const solver::DomainBox &Box = Plan.Box;
+  const exec::PlanShape &Shape = *Plan.Shape;
+  ExtentSlots Slots{static_cast<unsigned>(Plan.Params.size()),
+                    Box.numDims()};
+  std::vector<int64_t> Ext(Slots.size(), 0);
+  std::copy(Plan.Params.begin(), Plan.Params.end(), Ext.begin());
+  for (unsigned D = 0; D != Slots.N; ++D)
+    Ext[Slots.root(D)] = Box.Upper[D];
+  Ext[Slots.firstPartition()] = Plan.FirstPartition;
+  Ext[Slots.lastPartition()] = Plan.LastPartition;
+  int Dropped = Shape.UseWindow ? static_cast<int>(Plan.WindowDropDim) : -1;
+  exec::TableLayout Layout = exec::tableLayout(Box, Dropped);
+  // The kernel bakes this stride as 1.
+  [[maybe_unused]] int Unit = unitStrideDim(Slots.N, Dropped);
+  assert((Unit < 0 || Layout.Strides[Unit] == 1) && "layout not row-major");
+  if (Shape.UseWindow)
+    Ext[Slots.minPartition()] = Shape.Sched.minOver(Box);
+  for (unsigned D = 0; D != Slots.N; ++D)
+    Ext[Slots.stride(D)] = static_cast<int64_t>(Layout.Strides[D]);
+  Ext[Slots.tableBase()] = static_cast<int64_t>(Layout.Base);
+  Ext[Slots.planeSize()] = static_cast<int64_t>(Layout.PlaneSize);
+  return Ext;
 }
 
 //===----------------------------------------------------------------------===//
@@ -984,11 +1061,11 @@ std::shared_ptr<const JitKernel> tryLoad(const std::string &SoPath) {
 uint64_t codegen::jitWarningsEmitted() { return WarningsPrinted.load(); }
 
 std::shared_ptr<const JitKernel>
-codegen::compileKernel(const exec::ExecutablePlan &Plan,
+codegen::compileKernel(const exec::PlanShape &Shape,
                        const JitCompileOptions &Opts) {
   obs::MetricsRegistry &Metrics = obs::MetricsRegistry::global();
 
-  std::string Source = renderKernelSource(Plan);
+  std::string Source = renderKernelSource(Shape);
   if (Source.empty())
     return fallBack("unsupported plan or cell-body shape");
 
@@ -999,12 +1076,15 @@ codegen::compileKernel(const exec::ExecutablePlan &Plan,
     return fallBack("cannot create the jit cache directory");
 
   // Cache key: schedule fingerprint mixed into a hash of the emitted
-  // source (which already bakes the box, the window decision and the
-  // program), so any plan-visible change misses.
-  uint64_t Key = fnv1a(Source) ^ (Plan.Sched.fingerprint() * 0x9e3779b97f4a7c15ULL);
+  // source (which already bakes the schedule, the window depth and the
+  // program, and no box), so every box of a shape shares one entry and
+  // any shape-visible change misses.
+  uint64_t Key =
+      fnv1a(Source) ^ (Shape.Sched.fingerprint() * 0x9e3779b97f4a7c15ULL);
   char Hex[24];
   snprintf(Hex, sizeof(Hex), "%016" PRIx64, Key);
-  std::string SoPath = Dir + "/k" + Hex + ".so";
+  std::string Stem = Dir + "/k" + Hex;
+  std::string SoPath = Stem + ".so";
 
   if (std::filesystem::exists(SoPath, Ec) && !Ec) {
     if (auto Kernel = tryLoad(SoPath)) {
@@ -1016,23 +1096,30 @@ codegen::compileKernel(const exec::ExecutablePlan &Plan,
     std::filesystem::remove(SoPath, Ec);
   }
 
-  std::string CPath = Dir + "/k" + Hex + ".c";
+  // Source and object both go to paths private to this compile and are
+  // renamed into place afterwards, so threads or processes compiling the
+  // same kernel into one directory never truncate a file another
+  // compiler is reading.
+  static std::atomic<uint64_t> TmpCounter{0};
+  std::string Unique = "." + std::to_string(::getpid()) + "." +
+                       std::to_string(TmpCounter.fetch_add(1));
+  std::string CTmp = Stem + Unique + ".c";
+  std::string Tmp = SoPath + Unique + ".tmp";
   {
-    std::ofstream Os(CPath, std::ios::trunc);
+    std::ofstream Os(CTmp, std::ios::trunc);
     Os << Source;
-    if (!Os)
+    if (!Os) {
+      std::filesystem::remove(CTmp, Ec);
       return fallBack("cannot write the generated source");
+    }
   }
 
-  static std::atomic<uint64_t> TmpCounter{0};
-  std::string Tmp = SoPath + "." + std::to_string(::getpid()) + "." +
-                    std::to_string(TmpCounter.fetch_add(1)) + ".tmp";
   const char *Cc = std::getenv("CC");
   if (!Cc || !*Cc)
     Cc = "cc";
   std::string Cmd = std::string(Cc) +
                     " -O2 -shared -fPIC -ffp-contract=off -o '" + Tmp +
-                    "' '" + CPath + "' -lm 2>/dev/null";
+                    "' '" + CTmp + "' -lm 2>/dev/null";
 
   auto T0 = std::chrono::steady_clock::now();
   int Status = std::system(Cmd.c_str());
@@ -1041,9 +1128,14 @@ codegen::compileKernel(const exec::ExecutablePlan &Plan,
                 .count();
   if (Status != 0) {
     std::filesystem::remove(Tmp, Ec);
+    std::filesystem::remove(CTmp, Ec);
     return fallBack("host C compiler failed or missing");
   }
-  // Atomic publish so concurrent compiles of one plan race benignly.
+  // Atomic publish so concurrent compiles of one shape race benignly;
+  // the source is kept beside the kernel for inspection.
+  std::filesystem::rename(CTmp, Stem + ".c", Ec);
+  if (Ec)
+    std::filesystem::remove(CTmp, Ec);
   if (std::rename(Tmp.c_str(), SoPath.c_str()) != 0) {
     std::filesystem::remove(Tmp, Ec);
     return fallBack("cannot publish the compiled kernel");

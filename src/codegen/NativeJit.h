@@ -7,21 +7,28 @@
 ///
 /// \file
 /// Run-time code generation for the host path, in the PyCUDA/PyOpenCL
-/// style: render one ExecutablePlan — its partition loop nest, its
-/// sliding-window (or dense) table addressing, and its bytecode cell body
-/// — as a specialised C translation unit, compile it with the system C
-/// compiler into a shared object, dlopen it, and dispatch the resolved
-/// kernel instead of interpreting bytecode.
+/// style: render one plan shape — its parametric partition loop nest,
+/// its sliding-window (or dense) table addressing, and its bytecode cell
+/// body — as a C translation unit, compile it with the system C compiler
+/// into a shared object, dlopen it, and dispatch the resolved kernel
+/// instead of interpreting bytecode.
 ///
-/// Everything that is a *plan-time* constant is baked into the source:
-/// loop bounds, schedule coefficients, fastmod window addressing (the
-/// same slot math as exec::SlidingWindowTable), the result conversion,
-/// and the packed per-instruction cost deltas. Everything that varies
-/// per *binding* (sequences, matrices, the precomputed log-space HMM
-/// tables, scalar arguments, the table base pointer and the cost-model
-/// cycle weights) is passed at run time through JitArgs, so one cached
-/// kernel serves every problem that reuses the plan — exactly the
-/// contract the bytecode program already has.
+/// The source depends on the shape alone, so one kernel serves every box
+/// of a (function, schedule, window) shape. Baked into it: the schedule
+/// coefficients, the nest's structure and divisors, the window's plane
+/// count (a function of the window depth) with its fastmod constant, the
+/// row-major layout's unit stride (a window kernel holds one copy of
+/// the scan per dimension the window may drop, picked once per call),
+/// the result conversion and the packed per-instruction cost deltas.
+/// Everything that depends on the box — loop bounds, partition range,
+/// root point, minimum partition and the table strides, base and plane
+/// size (stride 0 marks the dimension a window drops) — arrives at run
+/// time in JitArgs::Extents, built by kernelExtents(); the kernel copies
+/// it into locals on entry. Everything that varies per binding
+/// (sequences, matrices, the precomputed log-space HMM tables, scalar
+/// arguments, the table base pointer and the cost-model cycle weights)
+/// is passed through JitArgs too, exactly the contract the bytecode
+/// program already has.
 ///
 /// The emitted code replicates the bytecode VM operation-for-operation
 /// (one floating-point operation per emitted statement, compiled with
@@ -53,6 +60,7 @@
 namespace parrec {
 namespace exec {
 class ExecutablePlan;
+struct PlanShape;
 } // namespace exec
 
 namespace codegen {
@@ -87,9 +95,10 @@ struct JitHmm {
   uint64_t Stride;             // Emission row stride (alphabet + 1).
 };
 
-/// Per-run kernel inputs: the binding plus the table base pointer and the
+/// Per-run kernel inputs: the binding plus the table base pointer, the
 /// cost model's cycle weights (so one kernel serves both backends and
-/// both table residencies).
+/// both table residencies) and the box's extents (so one kernel serves
+/// every box of its shape).
 struct JitArgs {
   const JitSeq *Seqs;
   const JitMatrix *Matrices;
@@ -101,6 +110,8 @@ struct JitArgs {
   uint64_t CycTrans;
   uint64_t CycTable;
   uint64_t CycModel;
+  /// kernelExtents() of the plan being scanned.
+  const int64_t *Extents;
 };
 
 /// Per-invocation outputs, folded into the caller's WorkerSlot: the wide
@@ -189,18 +200,22 @@ struct JitCompileOptions {
 };
 
 /// Renders, compiles (or loads from the disk cache) and resolves the
-/// kernel for \p Plan. Returns null on any failure after emitting a
+/// kernel for \p Shape. Returns null on any failure after emitting a
 /// once-per-process warning and bumping `jit.fallbacks`; callers then
 /// keep using the bytecode VM. Records `jit.compile_ns` and bumps
-/// `jit.cache_hits` / `jit.cache_misses`.
+/// `jit.cache_hits` / `jit.cache_misses`. Safe to call concurrently for
+/// one shape and one cache directory, from threads or processes.
 std::shared_ptr<const JitKernel>
-compileKernel(const exec::ExecutablePlan &Plan,
-              const JitCompileOptions &Opts);
+compileKernel(const exec::PlanShape &Shape, const JitCompileOptions &Opts);
 
-/// Renders the C translation unit for \p Plan without compiling it.
-/// Returns an empty string when the plan has a shape the emitter does
-/// not support (callers fall back to the VM). Exposed for tests.
-std::string renderKernelSource(const exec::ExecutablePlan &Plan);
+/// Renders the C translation unit for \p Shape without compiling it.
+/// Returns an empty string when the shape is one the emitter does not
+/// support (callers fall back to the VM). Exposed for tests.
+std::string renderKernelSource(const exec::PlanShape &Shape);
+
+/// The run-time extents of \p Plan's box that the kernel of its shape
+/// reads (JitArgs::Extents).
+std::vector<int64_t> kernelExtents(const exec::ExecutablePlan &Plan);
 
 /// Number of fallback warning lines printed so far (0 or 1: the warning
 /// is emitted once per process). Exposed for tests.

@@ -201,9 +201,9 @@ AutotuneChoice compiler::tuneSchedule(const RecurrenceSpec &Rec,
 
 void compiler::autotunePlan(CompilationModule &M, obs::Span &S) {
   AutotuneChoice Choice = tuneSchedule(M.recurrence(), *M.Box, M.Request,
-                                       M.Plan->Sched);
-  bool Changed = !(Choice.Sched == M.Plan->Sched);
-  M.Plan->Sched = Choice.Sched;
+                                       M.Draft->Sched);
+  bool Changed = !(Choice.Sched == M.Draft->Sched);
+  M.Draft->Sched = Choice.Sched;
   M.WindowOverride = Choice.UseWindow;
   M.Plan->TunedThreads = Choice.Threads;
 

@@ -10,6 +10,7 @@
 #include "codegen/Evaluator.h"
 #include "codegen/NativeJit.h"
 #include "compiler/Autotuner.h"
+#include "exec/PlanCache.h"
 #include "exec/Table.h"
 #include "lang/Parser.h"
 #include "obs/Metrics.h"
@@ -169,7 +170,7 @@ bool passBytecode(CompilationModule &M, obs::Span &S) {
 //===----------------------------------------------------------------------===//
 
 bool passScheduleSynthesis(CompilationModule &M, obs::Span &S) {
-  if (!M.Box || !M.Plan)
+  if (!M.Box || !M.Plan || !M.Draft)
     return missing(M, "schedule_synthesis", "a planning request");
   const solver::RecurrenceSpec &Rec = M.recurrence();
   if (S.active()) {
@@ -178,30 +179,36 @@ bool passScheduleSynthesis(CompilationModule &M, obs::Span &S) {
   }
   // Forced, preselected (batch), or freshly minimised — the same
   // precedence the hardwired chain applied.
+  solver::Schedule &Sched = M.Draft->Sched;
   if (M.Request.ForcedSchedule) {
     if (!solver::verifySchedule(Rec, *M.Request.ForcedSchedule, *M.Box,
                                 M.Diags))
       return false;
-    M.Plan->Sched = *M.Request.ForcedSchedule;
+    Sched = *M.Request.ForcedSchedule;
   } else if (M.Request.PreselectedSchedule) {
-    M.Plan->Sched = *M.Request.PreselectedSchedule;
+    Sched = *M.Request.PreselectedSchedule;
   } else {
     std::optional<solver::Schedule> Minimal =
         solver::findMinimalSchedule(Rec, *M.Box, M.Diags);
     if (!Minimal)
       return false;
-    M.Plan->Sched = std::move(*Minimal);
+    Sched = std::move(*Minimal);
   }
   if (S.active())
     S.arg("schedule",
-          M.Plan->Sched.str(M.DimNames.empty() ? Rec.DimNames : M.DimNames));
+          Sched.str(M.DimNames.empty() ? Rec.DimNames : M.DimNames));
   return true;
+}
+
+/// True when the draft carries a schedule over the box's dimensions.
+bool haveSchedule(const CompilationModule &M) {
+  return M.Draft && M.Draft->Sched.Coefficients.size() == M.Box->numDims();
 }
 
 bool passAutotune(CompilationModule &M, obs::Span &S) {
   if (!M.Box || !M.Plan)
     return missing(M, "autotune", "a planning request");
-  if (M.Plan->Sched.Coefficients.size() != M.Box->numDims())
+  if (!haveSchedule(M))
     return missing(M, "autotune", "a resolved schedule");
   autotunePlan(M, S);
   return true;
@@ -210,27 +217,28 @@ bool passAutotune(CompilationModule &M, obs::Span &S) {
 bool passSlidingWindow(CompilationModule &M, obs::Span &S) {
   if (!M.Box || !M.Plan)
     return missing(M, "sliding_window", "a planning request");
-  if (M.Plan->Sched.Coefficients.size() != M.Box->numDims())
+  if (!haveSchedule(M))
     return missing(M, "sliding_window", "a resolved schedule");
   // Section 4.8: compress the table when enabled and legal. Keeping the
   // full table for later reads forbids the window, and the autotuner may
-  // veto it when full tabulation scores better.
+  // veto it when full tabulation scores better. The depth belongs to the
+  // shape; which dimension to drop depends on the box's extents.
   bool Want = M.Request.UseSlidingWindow && !M.Request.KeepTable;
   if (M.WindowOverride)
     Want = Want && *M.WindowOverride;
   std::optional<int64_t> Window =
-      solver::slidingWindowDepth(M.recurrence(), M.Plan->Sched);
+      solver::slidingWindowDepth(M.recurrence(), M.Draft->Sched);
   int DropDim =
-      Window ? exec::pickWindowDropDim(M.Plan->Sched, *M.Box) : -1;
+      Window ? exec::pickWindowDropDim(M.Draft->Sched, *M.Box) : -1;
   if (Want && Window && DropDim >= 0) {
-    M.Plan->UseWindow = true;
-    M.Plan->WindowDepth = *Window;
+    M.Draft->UseWindow = true;
+    M.Draft->WindowDepth = *Window;
     M.Plan->WindowDropDim = static_cast<unsigned>(DropDim);
   }
   if (S.active()) {
-    S.arg("window", M.Plan->UseWindow);
-    if (M.Plan->UseWindow)
-      S.arg("depth", static_cast<uint64_t>(M.Plan->WindowDepth));
+    S.arg("window", M.Draft->UseWindow);
+    if (M.Draft->UseWindow)
+      S.arg("depth", static_cast<uint64_t>(M.Draft->WindowDepth));
   }
   return true;
 }
@@ -238,46 +246,55 @@ bool passSlidingWindow(CompilationModule &M, obs::Span &S) {
 bool passLoopGen(CompilationModule &M, obs::Span &S) {
   if (!M.Box || !M.Plan)
     return missing(M, "loopgen", "a planning request");
-  if (M.Plan->Sched.Coefficients.size() != M.Box->numDims())
+  if (!haveSchedule(M))
     return missing(M, "loopgen", "a resolved schedule");
-  // Section 4.3: scan the box under the schedule, CLooG-style.
-  poly::Polyhedron Domain(M.DimNames);
-  for (unsigned D = 0; D != M.Box->numDims(); ++D)
-    Domain.addBounds(D, M.Box->Lower[D], M.Box->Upper[D]);
-  M.Plan->Nest = poly::generateLoops(Domain, /*NumParams=*/0,
-                                     M.Plan->Sched.toAffineExpr(0));
+  if (M.Request.Shapes)
+    M.Plan->Shape = M.Request.Shapes->lookup(M.Draft->key(M.Request.Jit));
   if (S.active())
-    S.arg("dims", static_cast<uint64_t>(M.Box->numDims()));
+    S.arg("shape", M.Plan->Shape ? "hit" : "miss");
+  if (M.Plan->Shape)
+    return true;
+  // Section 4.3: scan the box under the schedule, CLooG-style, with the
+  // box as parameters, so the nest serves every box.
+  unsigned N = M.Box->numDims();
+  M.Draft->Nest =
+      poly::generateLoops(exec::boxDomain(M.DimNames), /*NumParams=*/2 * N,
+                          M.Draft->Sched.toAffineExpr(2 * N));
+  M.Plan->Shape = M.Draft;
+  if (S.active())
+    S.arg("dims", static_cast<uint64_t>(N));
   return true;
 }
 
 bool passFinalize(CompilationModule &M, obs::Span &S) {
   if (!M.Box || !M.Plan)
     return missing(M, "finalize", "a planning request");
-  auto TimeRange = M.Plan->Nest.timeRange({});
+  if (!M.Plan->Shape || M.Plan->Shape->Nest.Levels.empty())
+    return missing(M, "finalize", "a loop nest");
+  auto TimeRange = M.Plan->Shape->Nest.timeRange(M.Plan->Params);
   if (!TimeRange) {
     M.Diags.error({}, "empty domain for '" + M.recurrence().Name + "'");
     return false;
   }
   M.Plan->FirstPartition = TimeRange->first;
   M.Plan->LastPartition = TimeRange->second;
-  M.Plan->RootPartition = M.Plan->Sched.apply(M.Box->Upper);
+  M.Plan->RootPartition = M.Plan->Shape->Sched.apply(M.Box->Upper);
   if (S.active())
     S.arg("partitions", static_cast<uint64_t>(M.Plan->numPartitions()));
   return true;
 }
 
 bool passJit(CompilationModule &M, obs::Span &S) {
-  if (!M.Box || !M.Plan)
-    return missing(M, "jit", "a planning request");
+  if (!M.Box || !M.Plan || M.Plan->Shape != M.Draft)
+    return missing(M, "jit", "a newly generated loop nest");
   codegen::JitCompileOptions Opts;
   Opts.CacheDir = M.Request.JitCacheDir;
   // compileKernel owns the fallback path: on any failure it warns once,
   // bumps jit.fallbacks and returns null, and the backend keeps using
   // the bytecode VM — a JIT problem never fails compilation.
-  M.Plan->Kernel = codegen::compileKernel(*M.Plan, Opts);
+  M.Draft->Kernel = codegen::compileKernel(*M.Draft, Opts);
   if (S.active())
-    S.arg("compiled", M.Plan->Kernel != nullptr);
+    S.arg("compiled", M.Draft->Kernel != nullptr);
   return true;
 }
 
@@ -302,7 +319,11 @@ PassPipeline makePlanningPipeline(bool Autotune, bool Jit) {
   P.addPass("loopgen", passLoopGen);
   P.addPass("finalize", passFinalize);
   if (Jit)
-    P.addPass("jit", passJit);
+    P.addPass(Pass{"jit",
+                   [](const CompilationModule &M) {
+                     return M.shapeFromCache();
+                   },
+                   passJit});
   return P;
 }
 
@@ -378,7 +399,9 @@ exec::buildPlan(const solver::RecurrenceSpec &Rec,
   M.Request = Req;
   M.Plan.emplace();
   M.Plan->Box = Box;
-  M.Plan->Program = Req.Program;
+  M.Plan->Params = ExecutablePlan::boxParams(Box);
+  M.Draft = std::make_shared<PlanShape>();
+  M.Draft->Program = Req.Program;
   const PassPipeline &Pipeline =
       Req.Autotune
           ? (Req.Jit ? compiler::autotuneJitPlanningPipeline()
@@ -387,5 +410,9 @@ exec::buildPlan(const solver::RecurrenceSpec &Rec,
                      : compiler::planningPipeline());
   if (!Pipeline.run(M))
     return std::nullopt;
+  // A freshly built shape is complete (nest and kernel) only now, so it
+  // is published to the cache here, never half-built.
+  if (Req.Shapes && M.Plan->Shape == M.Draft)
+    Req.Shapes->insert(M.Draft->key(Req.Jit), M.Draft);
   return std::move(M.Plan);
 }

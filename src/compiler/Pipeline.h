@@ -17,7 +17,10 @@
 /// Two default pipelines cover the legacy hardwired chains:
 ///   frontend: parse -> sema -> dependence -> validate -> bytecode
 ///   planning: schedule_synthesis [-> autotune] -> sliding_window
-///             -> loopgen -> finalize
+///             -> loopgen -> finalize [-> jit]
+/// Planning runs per box, but loopgen and jit build the box-independent
+/// PlanShape only when the function's ShapeCache does not already hold
+/// it.
 /// `CompiledRecurrence::compile`/`fromDecl` and `exec::buildPlan` are thin
 /// wrappers over them, so every existing caller goes through the pipeline
 /// unchanged. Individual passes can be disabled for debugging via
@@ -51,7 +54,7 @@ namespace compiler {
 /// (or a pre-parsed Decl) and fill Info/Bytecode; planning runs start
 /// from a recurrence + box + request and fill Plan. One module may carry
 /// both halves, but the default wrappers use one half at a time — the
-/// frontend once per function, planning once per (box, options) shape.
+/// frontend once per function, planning once per (box, options) pair.
 struct CompilationModule {
   DiagnosticEngine &Diags;
 
@@ -76,9 +79,18 @@ struct CompilationModule {
   /// honours it on top of the usual legality checks.
   std::optional<bool> WindowOverride;
   /// Built up across the planning passes: schedule_synthesis resolves
-  /// Sched, sliding_window the window fields, loopgen the nest, finalize
-  /// the partition range.
+  /// the schedule and sliding_window the window decision into Draft;
+  /// loopgen publishes the plan's shape — a ShapeCache hit, or Draft
+  /// with its parametric nest — and finalize derives the per-box
+  /// partition range. The jit pass compiles Draft's kernel and is
+  /// skipped when the shape came from the cache.
   std::optional<exec::ExecutablePlan> Plan;
+  std::shared_ptr<exec::PlanShape> Draft;
+
+  /// True once loopgen adopted a cached shape.
+  bool shapeFromCache() const {
+    return Plan && Plan->Shape && Plan->Shape != Draft;
+  }
 
   explicit CompilationModule(DiagnosticEngine &Diags) : Diags(Diags) {}
 

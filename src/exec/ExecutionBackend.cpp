@@ -121,7 +121,7 @@ void scanThreadRange(const ExecutablePlan &Plan, poly::ScanContext &Ctx,
   gpu::CostCounter Delta;
   for (unsigned T = ThreadBegin; T != ThreadEnd; ++T) {
     uint64_t ThreadCycles = 0;
-    Plan.Nest.forEachPointForThread(
+    Plan.Shape->Nest.forEachPointForThread(
         Ctx, P, T, Threads, [&](const int64_t *Point) {
           Delta.reset();
           double Value = Eval(Point, Table, Delta);
@@ -172,8 +172,9 @@ struct CellScanner {
 };
 
 /// Scanner over the natively jitted kernel: one call covers the whole
-/// (partition, thread-range) slice — the kernel walks the baked loop
-/// nest, writes the table through the baked slot addressing, accumulates
+/// (partition, thread-range) slice — the kernel walks its shape's loop
+/// nest at the box's extents, writes the table through the same slot
+/// addressing as the table classes, accumulates
 /// the wide cost lanes and per-thread modelled cycles, and captures the
 /// running table max and the root cell. The fold below mirrors what
 /// scanThreadRange accumulates per cell; one invocation per slot keeps
@@ -240,7 +241,7 @@ void scanSerial(const ExecutablePlan &Plan, uint64_t SyncCycles,
     // full table the root survives and is read once after the scan.
     uint64_t PartitionCells = 0;
     Slot.reset();
-    Scanner(Plan.UseWindow && P == Plan.RootPartition, Threads, 0,
+    Scanner(Plan.Shape->UseWindow && P == Plan.RootPartition, Threads, 0,
             Threads, P, Timer, Slot);
     mergeSlot(Slot, Result, TableMax, PartitionCells);
     Result.Cells += PartitionCells;
@@ -305,7 +306,7 @@ void scanParallel(const ExecutablePlan &Plan, uint64_t SyncCycles,
       Slot.reset();
       if (Begin != End) {
         try {
-          Scanner(Plan.UseWindow && P == Plan.RootPartition, Threads,
+          Scanner(Plan.Shape->UseWindow && P == Plan.RootPartition, Threads,
                   Begin, End, P, Timer, Slot);
         } catch (...) {
           std::lock_guard<std::mutex> Lock(ErrorMutex);
@@ -381,7 +382,7 @@ RunResult scanPlan(const ExecutablePlan &Plan, codegen::Evaluator &Eval,
     Table = Plan.makeTable();
     if (AllocSpan.active()) {
       AllocSpan.arg("bytes", Table->bytes());
-      AllocSpan.arg("window", Plan.UseWindow);
+      AllocSpan.arg("window", Plan.Shape->UseWindow);
     }
   }
   bool TableInShared = IsGpu && Table->bytes() <= Model.SharedMemBytes;
@@ -389,27 +390,31 @@ RunResult scanPlan(const ExecutablePlan &Plan, codegen::Evaluator &Eval,
   obs::Span RunSpan("exec.scan", "exec");
   gpu::BlockTimer Timer(Threads, /*RecordTimeline=*/Trace);
   RunResult Result;
-  Result.UsedSchedule = Plan.Sched;
+  Result.UsedSchedule = Plan.Shape->Sched;
   Result.TableMax = -std::numeric_limits<double>::infinity();
 
   bool ForceAst =
       envForcesAstEvaluator() || Options.Evaluator == EvalKind::Ast;
   // Jit silently degrades to the VM when the plan carries no kernel:
   // the jit pass already warned and counted the fallback at plan time.
+  const PlanShape &Shape = *Plan.Shape;
   bool UseJit = !ForceAst && Options.Evaluator == EvalKind::Jit &&
-                Plan.Kernel != nullptr && Plan.Kernel->fn() != nullptr &&
-                Plan.Program != nullptr;
-  bool UseVm = !ForceAst && !UseJit && Plan.Program != nullptr;
+                Shape.Kernel != nullptr && Shape.Kernel->fn() != nullptr &&
+                Shape.Program != nullptr;
+  bool UseVm = !ForceAst && !UseJit && Shape.Program != nullptr;
   ScanStats Stats;
   Stats.Workers = resolveScanWorkers(Plan, Options, Threads);
   uint64_t Grain = std::max<uint64_t>(Options.ScanGrainCells, 1);
   uint64_t SyncCycles = IsGpu ? Model.SyncCycles : 0;
 
-  // One binding per run (the jitted analogue of BytecodeVM::bind),
-  // shared read-only by every worker's JitScanner.
+  // One binding and one set of box extents per run (the jitted analogue
+  // of BytecodeVM::bind), shared read-only by every worker's JitScanner.
   codegen::JitBinding JitBind;
-  if (UseJit)
-    JitBind.bind(*Plan.Program, Eval);
+  std::vector<int64_t> Extents;
+  if (UseJit) {
+    JitBind.bind(*Shape.Program, Eval);
+    Extents = codegen::kernelExtents(Plan);
+  }
 
   auto Drive = [&](const auto &MakeScanner) {
     if (Stats.Workers <= 1) {
@@ -431,9 +436,10 @@ RunResult scanPlan(const ExecutablePlan &Plan, codegen::Evaluator &Eval,
     if (UseJit) {
       Drive([&] {
         JitScanner S;
-        S.Fn = Plan.Kernel->fn();
+        S.Fn = Shape.Kernel->fn();
         S.Args = JitBind.args();
         S.Args.Table = ConcreteTable.rawData();
+        S.Args.Extents = Extents.data();
         // The kernel bakes the cycle *formula*; the weights come from
         // the live cost model so one cached kernel serves both backends
         // and both table residencies.
@@ -451,28 +457,28 @@ RunResult scanPlan(const ExecutablePlan &Plan, codegen::Evaluator &Eval,
       });
     } else if (UseVm) {
       Drive([&] {
-        VmEval E{codegen::BytecodeVM(Plan.Program)};
+        VmEval E{codegen::BytecodeVM(Shape.Program)};
         E.Vm.bind(Eval);
         return CellScanner<TableT, VmEval>{
             Plan,  ConcreteTable, Model, IsGpu, TableInShared,
-            std::move(E), Plan.Nest.makeScanContext({})};
+            std::move(E), Shape.Nest.makeScanContext(Plan.Params)};
       });
     } else {
       Drive([&] {
         return CellScanner<TableT, AstEval>{
             Plan,  ConcreteTable, Model, IsGpu, TableInShared,
-            AstEval{&Eval}, Plan.Nest.makeScanContext({})};
+            AstEval{&Eval}, Shape.Nest.makeScanContext(Plan.Params)};
       });
     }
   };
   // Monomorphise on the concrete table class (both are final) so every
   // get/set in the hot loop devirtualises.
-  if (Plan.UseWindow)
+  if (Shape.UseWindow)
     RunOn(static_cast<SlidingWindowTable &>(*Table));
   else
     RunOn(static_cast<FullTable &>(*Table));
 
-  if (!Plan.UseWindow)
+  if (!Shape.UseWindow)
     Result.RootValue = Table->get(Plan.Box.Upper.data());
 
   Result.Partitions = Plan.numPartitions();

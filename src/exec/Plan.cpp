@@ -18,10 +18,6 @@ static uint64_t fnvMix(uint64_t Hash, uint64_t Value) {
 
 uint64_t PlanKey::hash() const {
   uint64_t Hash = 0xcbf29ce484222325ull;
-  for (int64_t V : Lower)
-    Hash = fnvMix(Hash, static_cast<uint64_t>(V));
-  for (int64_t V : Upper)
-    Hash = fnvMix(Hash, static_cast<uint64_t>(V));
   Hash = fnvMix(Hash, Schedule{RequestedSchedule}.fingerprint());
   Hash = fnvMix(Hash, (Jit ? 8u : 0u) | (Autotune ? 4u : 0u) |
                           (UseSlidingWindow ? 2u : 0u) |
@@ -29,12 +25,9 @@ uint64_t PlanKey::hash() const {
   return Hash;
 }
 
-PlanKey PlanKey::make(const solver::DomainBox &Box, bool UseSlidingWindow,
-                      bool KeepTable, const Schedule *Requested,
-                      bool Autotune, bool Jit) {
+PlanKey PlanKey::make(bool UseSlidingWindow, bool KeepTable,
+                      const Schedule *Requested, bool Autotune, bool Jit) {
   PlanKey Key;
-  Key.Lower = Box.Lower;
-  Key.Upper = Box.Upper;
   if (Requested)
     Key.RequestedSchedule = Requested->Coefficients;
   Key.UseSlidingWindow = UseSlidingWindow;
@@ -44,11 +37,49 @@ PlanKey PlanKey::make(const solver::DomainBox &Box, bool UseSlidingWindow,
   return Key;
 }
 
+uint64_t ShapeKey::hash() const {
+  uint64_t Hash = fnvMix(0xcbf29ce484222325ull,
+                         solver::Schedule{Schedule}.fingerprint());
+  Hash = fnvMix(Hash, static_cast<uint64_t>(WindowDepth));
+  return fnvMix(Hash, (Jit ? 2u : 0u) | (UseWindow ? 1u : 0u));
+}
+
 std::shared_ptr<DpTable> ExecutablePlan::makeTable() const {
-  if (UseWindow)
-    return std::make_shared<SlidingWindowTable>(Box, Sched, WindowDepth,
+  if (Shape->UseWindow)
+    return std::make_shared<SlidingWindowTable>(Box, Shape->Sched,
+                                                Shape->WindowDepth,
                                                 WindowDropDim);
   return std::make_shared<FullTable>(Box);
+}
+
+std::vector<int64_t>
+ExecutablePlan::boxParams(const solver::DomainBox &Box) {
+  std::vector<int64_t> Params;
+  Params.reserve(2 * Box.numDims());
+  for (unsigned D = 0; D != Box.numDims(); ++D) {
+    Params.push_back(Box.Lower[D]);
+    Params.push_back(Box.Upper[D]);
+  }
+  return Params;
+}
+
+poly::Polyhedron exec::boxDomain(const std::vector<std::string> &DimNames) {
+  unsigned N = static_cast<unsigned>(DimNames.size());
+  std::vector<std::string> Names;
+  for (const std::string &Dim : DimNames) {
+    Names.push_back("lower_" + Dim);
+    Names.push_back("upper_" + Dim);
+  }
+  Names.insert(Names.end(), DimNames.begin(), DimNames.end());
+  poly::Polyhedron Domain(Names);
+  for (unsigned D = 0; D != N; ++D) {
+    poly::AffineExpr X = poly::AffineExpr::dim(3 * N, 2 * N + D);
+    Domain.addConstraint(
+        poly::Constraint::ge(X - poly::AffineExpr::dim(3 * N, 2 * D)));
+    Domain.addConstraint(
+        poly::Constraint::ge(poly::AffineExpr::dim(3 * N, 2 * D + 1) - X));
+  }
+  return Domain;
 }
 
 // buildPlan lives in compiler/Pipeline.cpp: it is a thin wrapper over the

@@ -11,10 +11,19 @@
 
 using namespace parrec::exec;
 
-std::shared_ptr<const ExecutablePlan>
-PlanCache::lookup(const PlanKey &Key) {
+size_t PlanCache::KeyHash::operator()(const Key &K) const {
+  uint64_t Hash = K.Plan.hash();
+  for (const std::vector<int64_t> *Bounds : {&K.Lower, &K.Upper})
+    for (int64_t V : *Bounds) {
+      Hash ^= static_cast<uint64_t>(V);
+      Hash *= 0x100000001b3ull;
+    }
+  return static_cast<size_t>(Hash);
+}
+
+std::shared_ptr<const ExecutablePlan> PlanCache::lookup(const Key &K) {
   std::lock_guard<std::mutex> Lock(Mutex);
-  auto It = Index.find(Key);
+  auto It = Index.find(K);
   if (It == Index.end()) {
     ++Counters.Misses;
     parrec::obs::MetricsRegistry::global().add("plan_cache.misses");
@@ -26,10 +35,10 @@ PlanCache::lookup(const PlanKey &Key) {
   return It->second->second;
 }
 
-void PlanCache::insert(const PlanKey &Key,
+void PlanCache::insert(const Key &K,
                        std::shared_ptr<const ExecutablePlan> Plan) {
   std::lock_guard<std::mutex> Lock(Mutex);
-  auto It = Index.find(Key);
+  auto It = Index.find(K);
   if (It != Index.end()) {
     It->second->second = std::move(Plan);
     Lru.splice(Lru.begin(), Lru, It->second);
@@ -41,8 +50,8 @@ void PlanCache::insert(const PlanKey &Key,
     ++Counters.Evictions;
     parrec::obs::MetricsRegistry::global().add("plan_cache.evictions");
   }
-  Lru.emplace_front(Key, std::move(Plan));
-  Index.emplace(Key, Lru.begin());
+  Lru.emplace_front(K, std::move(Plan));
+  Index.emplace(K, Lru.begin());
 }
 
 PlanCache::Stats PlanCache::stats() const {
@@ -60,4 +69,22 @@ void PlanCache::clear() {
   Lru.clear();
   Index.clear();
   Counters = Stats();
+}
+
+std::shared_ptr<const PlanShape>
+ShapeCache::lookup(const ShapeKey &Key) const {
+  std::lock_guard<std::mutex> Lock(Mutex);
+  auto It = Shapes.find(Key);
+  return It == Shapes.end() ? nullptr : It->second;
+}
+
+void ShapeCache::insert(const ShapeKey &Key,
+                        std::shared_ptr<const PlanShape> Shape) {
+  std::lock_guard<std::mutex> Lock(Mutex);
+  Shapes.emplace(Key, std::move(Shape));
+}
+
+void ShapeCache::clear() {
+  std::lock_guard<std::mutex> Lock(Mutex);
+  Shapes.clear();
 }

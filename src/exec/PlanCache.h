@@ -6,11 +6,14 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// A bounded, internally synchronised LRU cache from PlanKey to shared
-/// immutable ExecutablePlans. Every bench loop and every batch runs the
-/// same recursion over a handful of problem shapes; hitting this cache
-/// skips schedule synthesis (a CSP search) and CLooG-style loop
-/// generation on all but the first run per shape.
+/// The two plan caches of a compiled function. PlanCache is a bounded,
+/// internally synchronised LRU cache from (PlanKey, box) to shared
+/// immutable ExecutablePlans: a hit skips planning altogether, including
+/// schedule synthesis (a CSP search). ShapeCache maps a resolved
+/// (schedule, window, jit) shape to its PlanShape: a plan miss for a new
+/// box of a known shape resolves the schedule and then reuses the
+/// parametric loop nest and the native kernel, so loop generation and
+/// the host C compiler run once per shape, not once per sequence length.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -30,6 +33,23 @@ namespace exec {
 
 class PlanCache {
 public:
+  /// A plan's identity: the request key plus the concrete box.
+  struct Key {
+    PlanKey Plan;
+    std::vector<int64_t> Lower;
+    std::vector<int64_t> Upper;
+
+    friend bool operator==(const Key &A, const Key &B) = default;
+  };
+
+  struct KeyHash {
+    size_t operator()(const Key &K) const;
+  };
+
+  static Key keyFor(const PlanKey &Plan, const solver::DomainBox &Box) {
+    return {Plan, Box.Lower, Box.Upper};
+  }
+
   struct Stats {
     uint64_t Hits = 0;
     uint64_t Misses = 0;
@@ -41,12 +61,11 @@ public:
 
   /// Returns the cached plan for \p Key and marks it most recently used,
   /// or null on a miss. Counts a hit or a miss.
-  std::shared_ptr<const ExecutablePlan> lookup(const PlanKey &Key);
+  std::shared_ptr<const ExecutablePlan> lookup(const Key &K);
 
   /// Inserts \p Plan under \p Key (replacing any existing entry),
   /// evicting the least recently used entry when full.
-  void insert(const PlanKey &Key,
-              std::shared_ptr<const ExecutablePlan> Plan);
+  void insert(const Key &K, std::shared_ptr<const ExecutablePlan> Plan);
 
   Stats stats() const;
   size_t size() const;
@@ -56,14 +75,34 @@ public:
   static constexpr size_t DefaultCapacity = 64;
 
 private:
-  using Entry = std::pair<PlanKey, std::shared_ptr<const ExecutablePlan>>;
+  using Entry = std::pair<Key, std::shared_ptr<const ExecutablePlan>>;
 
   const size_t Capacity;
   mutable std::mutex Mutex;
   std::list<Entry> Lru; // Front = most recently used.
-  std::unordered_map<PlanKey, std::list<Entry>::iterator, PlanKeyHash>
-      Index;
+  std::unordered_map<Key, std::list<Entry>::iterator, KeyHash> Index;
   Stats Counters;
+};
+
+/// Shapes of one function. Unbounded: a function has one shape per
+/// distinct (schedule, window, jit) combination its requests resolve
+/// to, a handful in practice, and every cached plan pins its shape
+/// anyway.
+class ShapeCache {
+public:
+  /// The shape stored under \p Key, or null.
+  std::shared_ptr<const PlanShape> lookup(const ShapeKey &Key) const;
+
+  /// Stores \p Shape under \p Key unless a shape is already there.
+  void insert(const ShapeKey &Key, std::shared_ptr<const PlanShape> Shape);
+
+  void clear();
+
+private:
+  mutable std::mutex Mutex;
+  std::unordered_map<ShapeKey, std::shared_ptr<const PlanShape>,
+                     ShapeKeyHash>
+      Shapes;
 };
 
 } // namespace exec

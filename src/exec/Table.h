@@ -27,6 +27,31 @@
 namespace parrec {
 namespace exec {
 
+/// Flat slot addressing of a box, shared by both tables and by jitted
+/// kernels (which receive it as run-time extents): a point's index
+/// within a plane is sum_d Strides[d] * x_d - Base, in wrapping uint64
+/// arithmetic. Row-major over the box; a dimension dropped from plane
+/// addressing gets stride 0 and no extent in PlaneSize.
+struct TableLayout {
+  std::vector<uint64_t> Strides;
+  uint64_t Base = 0;
+  uint64_t PlaneSize = 1;
+};
+
+/// The layout of \p Box, dropping dimension \p DropDim (-1 drops none).
+inline TableLayout tableLayout(const solver::DomainBox &Box, int DropDim) {
+  TableLayout L;
+  L.Strides.assign(Box.numDims(), 0);
+  for (unsigned D = Box.numDims(); D-- > 0;) {
+    if (static_cast<int>(D) == DropDim)
+      continue;
+    L.Strides[D] = L.PlaneSize;
+    L.Base += static_cast<uint64_t>(Box.Lower[D]) * L.PlaneSize;
+    L.PlaneSize *= static_cast<uint64_t>(Box.extent(D));
+  }
+  return L;
+}
+
 /// Writable extension of the evaluator's read view.
 ///
 /// Disjoint-write invariant (what makes the wavefront-parallel scan
@@ -46,9 +71,9 @@ public:
   virtual void set(const int64_t *Point, double Value) = 0;
   virtual uint64_t bytes() const = 0;
 
-  /// Base pointer of the flat value storage, for jitted kernels that bake
-  /// the slot addressing into generated code (the same flatten/slot math
-  /// as get/set). Raw writes bypass the debug-build write-once poisoning
+  /// Base pointer of the flat value storage, for jitted kernels that
+  /// replay the slot addressing in generated code (the same TableLayout
+  /// math as get/set). Raw writes bypass the debug-build write-once poisoning
   /// of FullTable; the generated nest preserves the invariant by
   /// construction (it visits each point exactly once).
   virtual double *rawData() = 0;
@@ -58,13 +83,9 @@ public:
 class FullTable final : public DpTable {
 public:
   explicit FullTable(const solver::DomainBox &Box) : Box(Box) {
-    Strides.resize(Box.numDims());
-    uint64_t Stride = 1;
-    for (unsigned D = Box.numDims(); D-- > 0;) {
-      Strides[D] = Stride;
-      Stride *= static_cast<uint64_t>(Box.extent(D));
-    }
-    Data.assign(Stride, std::numeric_limits<double>::quiet_NaN());
+    TableLayout L = tableLayout(Box, /*DropDim=*/-1);
+    Strides = std::move(L.Strides);
+    Data.assign(L.PlaneSize, std::numeric_limits<double>::quiet_NaN());
   }
 
   double get(const int64_t *Point) const override {
@@ -118,19 +139,12 @@ public:
     MinPartition = S.minOver(Box);
     // Fuse per-dimension addressing state into one contiguous array so
     // slot() walks a single cache line instead of chasing three vectors.
+    TableLayout L = tableLayout(Box, static_cast<int>(DropDim));
     Addr.resize(Box.numDims());
-    uint64_t Stride = 1;
-    for (unsigned D = Box.numDims(); D-- > 0;) {
-      Addr[D].Coeff = S.Coefficients[D];
-      if (D == DropDim) {
-        Addr[D].Stride = 0;
-        continue;
-      }
-      Addr[D].Stride = Stride;
-      BaseIndex += static_cast<uint64_t>(Box.Lower[D]) * Stride;
-      Stride *= static_cast<uint64_t>(Box.extent(D));
-    }
-    PlaneSize = Stride;
+    for (unsigned D = 0; D != Box.numDims(); ++D)
+      Addr[D] = {S.Coefficients[D], L.Strides[D]};
+    BaseIndex = L.Base;
+    PlaneSize = L.PlaneSize;
     // The partition offset fits 32 bits for any table that fits in
     // memory, so the ring lookup can use an exact multiply-based modulus
     // (Lemire's fastmod) instead of a hardware divide on every access.

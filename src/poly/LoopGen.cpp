@@ -42,10 +42,29 @@ LoopNest::timeRange(const std::vector<int64_t> &ParamValues) const {
 ScanContext LoopNest::makeScanContext(
     const std::vector<int64_t> &ParamValues) const {
   assert(ParamValues.size() == NumParams && "wrong parameter count");
+  // Folds the parameter terms of E into its constant: E over [params, t,
+  // x...] becomes an expression over [t, x...] with the same values.
+  auto bind = [&](const AffineExpr &E) {
+    int64_t Constant = E.constantTerm();
+    std::vector<int64_t> Coefficients;
+    for (unsigned D = 0; D != E.numDims(); ++D) {
+      if (D < NumParams)
+        Constant += E.coefficient(D) * ParamValues[D];
+      else
+        Coefficients.push_back(E.coefficient(D));
+    }
+    return AffineExpr(std::move(Coefficients), Constant);
+  };
   ScanContext Ctx;
-  Ctx.Env.assign(NestDimNames.size(), 0);
-  for (unsigned I = 0; I != NumParams; ++I)
-    Ctx.Env[I] = ParamValues[I];
+  Ctx.Levels = Levels;
+  for (LoopLevel &L : Ctx.Levels) {
+    if (L.FixedNumerator)
+      L.FixedNumerator = bind(*L.FixedNumerator);
+    for (std::vector<LoopBound> *Bounds : {&L.Lower, &L.Upper})
+      for (LoopBound &B : *Bounds)
+        B.Numerator = bind(B.Numerator);
+  }
+  Ctx.Env.assign(NestDimNames.size() - NumParams, 0);
   Ctx.Range = timeRange(ParamValues);
   Ctx.StripedLevel = threadedLevel();
   return Ctx;

@@ -28,19 +28,6 @@
 namespace parrec {
 namespace poly {
 
-/// Precomputed per-scan state for LoopNest::forEachPointForThread: the
-/// reusable Env scratch vector plus the time range and striped level,
-/// which depend only on the nest and the parameter values — not on the
-/// partition or thread — and were historically re-derived (and the Env
-/// heap-allocated) for every (partition x thread) pair of a scan. Build
-/// one with LoopNest::makeScanContext and reuse it across the whole
-/// scan; each host worker of a parallel scan owns its own context.
-struct ScanContext {
-  std::vector<int64_t> Env;
-  std::optional<std::pair<int64_t, int64_t>> Range;
-  std::optional<unsigned> StripedLevel;
-};
-
 /// One affine bound "value (>=|<=) ceil|floor(Numerator / Divisor)" where
 /// Numerator only mentions parameters and outer loop variables.
 struct LoopBound {
@@ -64,6 +51,22 @@ struct LoopLevel {
   int64_t FixedDivisor = 1;
 
   bool isFixed() const { return FixedNumerator.has_value(); }
+};
+
+/// Precomputed per-scan state for LoopNest::forEachPointForThread: the
+/// nest's levels with the parameter values folded into their bound
+/// constants (so a parametric nest costs no more per point than one
+/// generated for the concrete box), the reusable Env scratch vector
+/// [t, x0..xn-1], and the time range and striped level, which depend
+/// only on the nest and the parameter values — not on the partition or
+/// thread. Build one with LoopNest::makeScanContext and reuse it across
+/// the whole scan; each host worker of a parallel scan owns its own
+/// context.
+struct ScanContext {
+  std::vector<LoopLevel> Levels;
+  std::vector<int64_t> Env;
+  std::optional<std::pair<int64_t, int64_t>> Range;
+  std::optional<unsigned> StripedLevel;
 };
 
 /// A generated loop nest over dimensions
@@ -93,9 +96,10 @@ public:
   void forEachPoint(const std::vector<int64_t> &ParamValues, int64_t TimeStep,
                     const std::function<void(const int64_t *)> &Body) const;
 
-  /// Builds the reusable scan state for \p ParamValues: sized Env
-  /// scratch, memoised time range and striped level. One context serves
-  /// any number of forEachPointForThread calls over the same parameters.
+  /// Builds the reusable scan state for \p ParamValues: the levels with
+  /// the parameters bound, sized Env scratch, memoised time range and
+  /// striped level. One context serves any number of
+  /// forEachPointForThread calls over the same parameters.
   ScanContext makeScanContext(const std::vector<int64_t> &ParamValues) const;
 
   /// Like forEachPoint but enumerates only the slice assigned to
@@ -113,14 +117,14 @@ public:
                              unsigned ThreadId, unsigned NumThreads,
                              const BodyT &Body) const {
     assert(NumThreads > 0 && ThreadId < NumThreads && "bad thread mapping");
-    assert(Ctx.Env.size() == NestDimNames.size() && "foreign scan context");
+    assert(Ctx.Levels.size() == Levels.size() && "foreign scan context");
     // Confirm TimeStep lies within the partition range; Figure 8's
     // template iterates the range, so out-of-range steps simply contain
     // no work.
     if (!Ctx.Range || TimeStep < Ctx.Range->first ||
         TimeStep > Ctx.Range->second)
       return;
-    Ctx.Env[NumParams] = TimeStep;
+    Ctx.Env[0] = TimeStep;
 
     std::optional<unsigned> Striped;
     if (NumThreads > 1) {
@@ -128,7 +132,7 @@ public:
       if (!Striped && ThreadId != 0)
         return; // No space loop: all the work belongs to thread 0.
     }
-    walk(Ctx.Env, 1, Striped, ThreadId, NumThreads, Body);
+    walk(Ctx, 1, Striped, ThreadId, NumThreads, Body);
   }
 
   /// Convenience overload building a throwaway context per call.
@@ -174,22 +178,25 @@ private:
     return Best;
   }
 
+  /// Walks the parameter-free levels of \p Ctx, whose Env holds
+  /// [t, x0..xn-1].
   template <typename BodyT>
-  void walk(std::vector<int64_t> &Env, unsigned Level,
-            std::optional<unsigned> StripedLevel, unsigned ThreadId,
-            unsigned NumThreads, const BodyT &Body) const {
-    if (Level == Levels.size()) {
-      Body(Env.data() + NumParams + 1); // x values follow params and t.
+  static void walk(ScanContext &Ctx, unsigned Level,
+                   std::optional<unsigned> StripedLevel, unsigned ThreadId,
+                   unsigned NumThreads, const BodyT &Body) {
+    std::vector<int64_t> &Env = Ctx.Env;
+    if (Level == Ctx.Levels.size()) {
+      Body(Env.data() + 1); // x values follow t.
       return;
     }
-    const LoopLevel &L = Levels[Level];
-    unsigned EnvIndex = NumParams + Level;
+    const LoopLevel &L = Ctx.Levels[Level];
+    unsigned EnvIndex = Level;
     if (L.isFixed()) {
       int64_t Num = L.FixedNumerator->evaluate(Env);
       if (Num % L.FixedDivisor != 0)
         return; // Divisibility guard: no integer point here.
       Env[EnvIndex] = Num / L.FixedDivisor;
-      walk(Env, Level + 1, StripedLevel, ThreadId, NumThreads, Body);
+      walk(Ctx, Level + 1, StripedLevel, ThreadId, NumThreads, Body);
       return;
     }
     std::optional<int64_t> Lo = evalLower(L, Env);
@@ -203,7 +210,7 @@ private:
     }
     for (int64_t V = Start; V <= *Hi; V += Step) {
       Env[EnvIndex] = V;
-      walk(Env, Level + 1, StripedLevel, ThreadId, NumThreads, Body);
+      walk(Ctx, Level + 1, StripedLevel, ThreadId, NumThreads, Body);
     }
   }
 };

@@ -48,6 +48,7 @@ CompiledRecurrence::fromModule(compiler::CompilationModule &M) {
   // unsupported construct) keeps the AST evaluator as the executor.
   C.Bytecode = std::move(M.Bytecode);
   C.Plans = std::make_unique<exec::PlanCache>();
+  C.Shapes = std::make_unique<exec::ShapeCache>();
   return C;
 }
 
@@ -172,9 +173,10 @@ CompiledRecurrence::planFor(const DomainBox &Box,
   // So is Jit: a VM-first run must not pin a kernel-less plan that a
   // later --evaluator=jit run would then hit.
   bool WantJit = Options.Evaluator == exec::EvalKind::Jit;
-  exec::PlanKey Key =
-      exec::PlanKey::make(Box, Options.UseSlidingWindow, Options.KeepTable,
-                          Requested, Options.Autotune, WantJit);
+  exec::PlanCache::Key Key = exec::PlanCache::keyFor(
+      exec::PlanKey::make(Options.UseSlidingWindow, Options.KeepTable,
+                          Requested, Options.Autotune, WantJit),
+      Box);
   if (std::shared_ptr<const exec::ExecutablePlan> Cached =
           Plans->lookup(Key)) {
     if (PlanSpan.active())
@@ -198,6 +200,7 @@ CompiledRecurrence::planFor(const DomainBox &Box,
   Req.Jit = WantJit;
   Req.JitCacheDir = Options.JitCacheDir;
   Req.CostModel = CostModel;
+  Req.Shapes = Shapes.get();
   std::optional<exec::ExecutablePlan> Plan =
       exec::buildPlan(Info.Recurrence, DimNames, Box, Req, Diags);
   if (!Plan)

@@ -8,7 +8,8 @@
 /// \file
 /// The library's main entry point: compile a DSL recursion, then run
 /// problems through the staged execution pipeline — planning (schedule +
-/// sliding window + loop nest, memoised in a per-function PlanCache) and
+/// sliding window + parametric loop nest + optional native kernel,
+/// memoised per box in a PlanCache and per shape in a ShapeCache) and
 /// execution (a pluggable ExecutionBackend: the serial CPU reference or
 /// the simulated GPU with thread striping, Sections 4.3-4.8). Batches
 /// simulate the device's independent multiprocessors across host worker
@@ -91,8 +92,11 @@ public:
 
   /// The executable plan for \p Box under \p Options: schedule, sliding
   /// window decision, loop nest and partition range. Served from the
-  /// function's plan cache when a same-shaped problem already ran;
-  /// synthesised, generated and cached otherwise. \p Preselected (may be
+  /// function's plan cache when a problem with the same box already ran.
+  /// Otherwise the schedule is resolved for the box and the rest comes
+  /// from the shape cache when another box already resolved to the same
+  /// schedule and window (loop generation and the JIT run once per
+  /// shape); both caches are filled on the way. \p Preselected (may be
   /// null) is a schedule chosen by conditional parallelisation.
   /// \p CostModel (may be null) is the model the autotuner scores
   /// candidates with when RunOptions::Autotune is set. Returns null
@@ -106,8 +110,11 @@ public:
   /// repeated run skipped synthesis).
   exec::PlanCache::Stats planCacheStats() const { return Plans->stats(); }
 
-  /// Drops all cached plans and resets the counters.
-  void clearPlanCache() const { Plans->clear(); }
+  /// Drops all cached plans and shapes and resets the counters.
+  void clearPlanCache() const {
+    Plans->clear();
+    Shapes->clear();
+  }
 
   /// Runs one problem serially on the (modelled) CPU.
   std::optional<RunResult> runCpu(const std::vector<codegen::ArgValue> &Args,
@@ -157,9 +164,11 @@ private:
   std::shared_ptr<const codegen::BytecodeProgram> Bytecode;
   mutable std::optional<std::optional<std::vector<solver::ConditionalSchedule>>>
       ConditionalCache;
-  /// Plans keyed by domain box + options fingerprint; behind a
-  /// unique_ptr so the (mutex-holding) cache survives moves.
+  /// Plans keyed by domain box + options fingerprint, and the shapes
+  /// they share; behind unique_ptrs so the (mutex-holding) caches survive
+  /// moves.
   mutable std::unique_ptr<exec::PlanCache> Plans;
+  mutable std::unique_ptr<exec::ShapeCache> Shapes;
 };
 
 } // namespace runtime

@@ -74,33 +74,32 @@ void resolve(detail::FutureState &State, Response &&Resp) {
     Callback(State.Resp);
 }
 
-/// Estimated modelled cost of one batch for least-loaded placement:
-/// domain cells per member times the member count. A deliberate
-/// estimate — actual cycles are only known after execution — but
-/// monotone in problem size and deterministic, which is what placement
-/// needs.
-uint64_t estimateBatchCost(const exec::PlanKey &Key, size_t Members) {
-  uint64_t Cells = 1;
-  for (size_t I = 0; I != Key.Lower.size(); ++I) {
-    int64_t Extent = Key.Upper[I] - Key.Lower[I] + 1;
-    if (Extent > 0)
-      Cells *= static_cast<uint64_t>(Extent);
-  }
-  return std::max<uint64_t>(1, Cells) *
-         std::max<size_t>(1, Members);
-}
-
 } // namespace
 
-/// A closed batch: one plan, many compatible requests, one device.
+/// A closed batch: one function and PlanKey, many compatible requests
+/// (each with the plan of its own box), one device.
 struct Engine::Batch {
   uint64_t Id = 0;
   const runtime::CompiledRecurrence *Fn = nullptr;
   exec::PlanKey Key;
   uint64_t OpenTick = 0;
-  std::shared_ptr<const exec::ExecutablePlan> Plan;
   std::vector<Pending> Members;
 };
+
+uint64_t Engine::estimateBatchCost(
+    const std::vector<solver::DomainBox> &MemberBoxes) {
+  uint64_t Cells = 0;
+  for (const solver::DomainBox &Box : MemberBoxes)
+    Cells += Box.totalPoints();
+  return std::max<uint64_t>(1, Cells);
+}
+
+bool Engine::ensurePlanned(Pending &P, DiagnosticEngine &Diags) {
+  if (!P.Plan)
+    P.Plan = P.Req.Fn->planFor(P.Box, P.Req.Options,
+                               /*Preselected=*/nullptr, Diags);
+  return P.Plan != nullptr;
+}
 
 /// One simulated device plus its dispatch queue.
 struct Engine::DeviceLane {
@@ -355,8 +354,9 @@ Future Engine::submit(Request Req,
       Span.arg("tenant", P.Req.Tenant);
   }
 
-  // Validate and fingerprint on the submitting thread: the domain box
-  // plus the plan key define which batch this request can join.
+  // Validate and fingerprint on the submitting thread: the function and
+  // the plan key define which batch this request can join, whatever its
+  // box.
   DiagnosticEngine Diags;
   std::optional<solver::DomainBox> Box;
   if (P.Req.Fn)
@@ -373,7 +373,7 @@ Future Engine::submit(Request Req,
   }
   P.Box = std::move(*Box);
   P.Key = exec::PlanKey::make(
-      P.Box, P.Req.Options.UseSlidingWindow, P.Req.Options.KeepTable,
+      P.Req.Options.UseSlidingWindow, P.Req.Options.KeepTable,
       P.Req.Options.ForcedSchedule ? &*P.Req.Options.ForcedSchedule
                                    : nullptr,
       P.Req.Options.Autotune,
@@ -454,6 +454,11 @@ Future Engine::submit(Request Req,
 bool Engine::tryContinuousJoin(Pending &P) {
   if (!Opts.Coalesce || Opts.MaxBatch <= 1)
     return false;
+  // Plan before taking any lane lock: a new box of an unseen shape may
+  // compile a kernel. The plan stays on P if it opens its own batch.
+  DiagnosticEngine Diags;
+  if (!ensurePlanned(P, Diags))
+    return false;
   for (std::unique_ptr<DeviceLane> &LanePtr : Lanes) {
     DeviceLane &Lane = *LanePtr;
     uint64_t BatchId = 0;
@@ -505,7 +510,10 @@ unsigned Engine::pickLane(const Batch &B) {
   for (unsigned I = 1; I < LaneAssignedCost.size(); ++I)
     if (LaneAssignedCost[I] < LaneAssignedCost[Best])
       Best = I;
-  LaneAssignedCost[Best] += estimateBatchCost(B.Key, B.Members.size());
+  std::vector<solver::DomainBox> Boxes;
+  for (const Pending &P : B.Members)
+    Boxes.push_back(P.Box);
+  LaneAssignedCost[Best] += estimateBatchCost(Boxes);
   return Best;
 }
 
@@ -619,18 +627,26 @@ void Engine::coalescerMain() {
         ++Counters.Batches;
       }
 
-      // One plan serves the whole batch: a PlanCache hit after the
-      // first same-shaped batch, so schedule synthesis and loop
-      // generation are paid once per shape, not once per request.
-      DiagnosticEngine Diags;
-      B.Plan = B.Fn->planFor(B.Members[0].Box, B.Members[0].Req.Options,
-                             /*Preselected=*/nullptr, Diags);
+      // One plan per distinct box, shared by the members with that box.
+      // A new box costs a schedule resolution; its loop nest and kernel
+      // come from the function's shape cache after the first box of the
+      // shape, so loop generation and the JIT run once per shape.
+      std::vector<Pending> Planned;
+      Planned.reserve(B.Members.size());
+      for (Pending &P : B.Members) {
+        for (const Pending &Q : Planned)
+          if (!P.Plan && Q.Box == P.Box)
+            P.Plan = Q.Plan;
+        DiagnosticEngine Diags;
+        if (ensurePlanned(P, Diags))
+          Planned.push_back(std::move(P));
+        else
+          complete(P, Status::Failed, Diags.str());
+      }
+      B.Members = std::move(Planned);
       if (Span.active())
-        Span.arg("planned", B.Plan != nullptr);
-      if (!B.Plan) {
-        std::string Error = Diags.str();
-        for (Pending &P : B.Members)
-          complete(P, Status::Failed, Error);
+        Span.arg("planned", static_cast<uint64_t>(B.Members.size()));
+      if (B.Members.empty()) {
         Lock.lock();
         continue;
       }
@@ -721,7 +737,7 @@ void Engine::executeBatch(DeviceLane &Lane, Batch &B) {
   for (size_t I = 0; I != Members.size(); ++I) {
     Request &Req = Members[I].Req;
     Req.Options.FlowId = Req.Id; // Trace flow id only; never a result.
-    Jobs[I] = {B.Plan.get(), &Req.Args, &Req.Options, Req.Id};
+    Jobs[I] = {Members[I].Plan.get(), &Req.Args, &Req.Options, Req.Id};
   }
   exec::BatchExecutor Executor{
       .Decl = B.Fn->decl(),

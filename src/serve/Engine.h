@@ -11,18 +11,21 @@
 /// (QueueFull backpressure instead of unbounded growth), per-tenant
 /// weighted fair queueing (strict priority classes, deficit round robin
 /// within a class — see FairQueue.h), a coalescer thread that groups
-/// compatible requests — same recursion, same ExecutablePlan key — into
-/// batches closed on a size-or-max-linger trigger, and a dispatcher that
-/// places closed batches on the least-loaded of N simulated gpu::Device
-/// instances (by accumulated estimated modelled cycles, lowest index on
-/// ties — deterministic in the batch sequence), each with its own slice
-/// of the host worker budget. One plan (and one compiled bytecode
-/// program, via the function's PlanCache) serves a whole batch; one
-/// modelled kernel launch covers the batch instead of one per request.
+/// compatible requests — same recursion, same exec::PlanKey, any box —
+/// into batches closed on a size-or-max-linger trigger, and a dispatcher
+/// that places closed batches on the least-loaded of N simulated
+/// gpu::Device instances (by accumulated estimated modelled cycles,
+/// lowest index on ties — deterministic in the batch sequence), each
+/// with its own slice of the host worker budget. Each distinct box of a
+/// batch is planned once; all boxes of a shape share one loop nest, one
+/// compiled bytecode program and one native kernel (the function's
+/// shape cache), and one modelled kernel launch covers the batch instead
+/// of one per request.
 ///
 /// Two serving-layer caches/short-circuits ride on top:
-///  - Options::ContinuousBatch admits a request whose PlanKey exactly
-///    matches a batch still waiting in a device lane into that batch
+///  - Options::ContinuousBatch admits a request whose function and
+///    PlanKey exactly match a batch still waiting in a device lane into
+///    that batch
 ///    (respecting MaxBatch) instead of opening a new linger window; a
 ///    batch a device has dequeued is never reopened.
 ///  - Options::MemoCapacity / Options::Memo memoize finished results
@@ -174,6 +177,14 @@ public:
   Engine(const Engine &) = delete;
   Engine &operator=(const Engine &) = delete;
 
+  /// Estimated modelled cost of one batch for least-loaded placement: the
+  /// sum of its members' domain cells (cells x members for a batch of
+  /// one box). A deliberate estimate — actual cycles are only known
+  /// after execution — but monotone in problem size and deterministic,
+  /// which is what placement needs.
+  static uint64_t
+  estimateBatchCost(const std::vector<solver::DomainBox> &MemberBoxes);
+
   const Options &options() const { return Opts; }
 
   /// Admits one request. Returns a Future that resolves when the
@@ -219,7 +230,8 @@ private:
 
   /// A request admitted to the submission queue, with everything the
   /// coalescer needs precomputed on the submitting thread: the domain
-  /// box and the plan key whose equality defines batch compatibility.
+  /// box it is planned for and the plan key whose equality (with the
+  /// function) defines batch compatibility.
   struct Pending {
     Request Req;
     std::shared_ptr<detail::FutureState> State;
@@ -233,6 +245,8 @@ private:
     bool Memoize = false;
     MemoCache::Key MemoKey;
     Wall::time_point SubmitWall;
+    /// The plan for Box; set on the coalescer thread.
+    std::shared_ptr<const exec::ExecutablePlan> Plan;
   };
 
   /// FairQueue field access for Pending.
@@ -267,10 +281,13 @@ private:
   /// never the queue lock.
   bool tryContinuousJoin(Pending &P);
   /// Least-loaded device choice: the lane with the smallest accumulated
-  /// estimated modelled cycles (cells x members per batch), lowest index
-  /// on ties. Coalescer thread only, so placement is deterministic in
-  /// the batch sequence.
+  /// estimated modelled cycles (estimateBatchCost), lowest index on
+  /// ties. Coalescer thread only, so placement is deterministic in the
+  /// batch sequence.
   unsigned pickLane(const Batch &B);
+  /// Plans P's box unless P already carries a plan; false (with
+  /// diagnostics) when planning fails. Coalescer thread only.
+  bool ensurePlanned(Pending &P, DiagnosticEngine &Diags);
   /// Resolves a memo hit: full Ok bookkeeping, no queue, no device.
   void completeMemoHit(Pending &P, MemoCache::Entry Hit);
   /// Copies \p R (table/timeline stripped) into the memo cache under

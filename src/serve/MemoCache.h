@@ -9,15 +9,15 @@
 /// A bounded, internally synchronised LRU cache from (function identity,
 /// exec::PlanKey, input digest, thread override) to finished RunResults
 /// — the serving-layer analogue of PlanCache: PlanCache skips planning
-/// for a repeated shape, MemoCache skips *execution* for a repeated
+/// for a repeated box, MemoCache skips *execution* for a repeated
 /// request. The key covers everything that can reach the result bits:
-/// the plan key carries the domain box and every plan-relevant option,
-/// the 128-bit exec::InputDigest covers the bound argument contents, and
-/// the explicit Threads override covers the one run option that changes
-/// modelled metrics without changing the plan. Requests that keep their
-/// table or ask for a timeline are never memoized (their payloads carry
-/// run-scoped objects), so a hit's payload is bit-identical to the
-/// execution it replaces.
+/// the plan key carries every plan-relevant option, the 128-bit
+/// exec::InputDigest covers the bound argument contents (which also fix
+/// the domain box), and the explicit Threads override covers the one
+/// run option that changes modelled metrics without changing the plan.
+/// Requests that keep their table or ask for a timeline are never
+/// memoized (their payloads carry run-scoped objects), so a hit's
+/// payload is bit-identical to the execution it replaces.
 ///
 /// Shared by design: a Router hands one MemoCache to all its engine
 /// shards, so a spilled or re-routed repeat still hits.

@@ -65,24 +65,21 @@ unsigned Router::homeShard(const std::string &Tenant,
 
 Future Router::submit(Request Req,
                       std::function<void(const Response &)> Callback) {
-  // The routing key mirrors the coalescer's batching key: requests that
-  // could share a batch must share a shard, or sharding would defeat
-  // coalescing. Computed outside the router lock — it is pure.
-  uint64_t KeyHash = 0;
-  if (Req.Fn) {
-    DiagnosticEngine Diags;
-    if (std::optional<solver::DomainBox> Box =
-            Req.Fn->domainFor(Req.Args, Diags)) {
-      exec::PlanKey Key = exec::PlanKey::make(
-          *Box, Req.Options.UseSlidingWindow, Req.Options.KeepTable,
-          Req.Options.ForcedSchedule ? &*Req.Options.ForcedSchedule
-                                     : nullptr,
-          Req.Options.Autotune,
-          Req.Options.Evaluator == exec::EvalKind::Jit);
-      KeyHash = Key.hash();
-    }
-    // An invalid request routes by tenant alone; the shard fails it.
-  }
+  // The routing key mirrors the coalescer's batching key, (function,
+  // PlanKey): requests that could share a batch must share a shard, or
+  // sharding would defeat coalescing. Neither half depends on the box,
+  // so nothing is validated here; the shard fails an invalid request.
+  uint64_t KeyHash =
+      exec::PlanKey::make(Req.Options.UseSlidingWindow,
+                          Req.Options.KeepTable,
+                          Req.Options.ForcedSchedule
+                              ? &*Req.Options.ForcedSchedule
+                              : nullptr,
+                          Req.Options.Autotune,
+                          Req.Options.Evaluator == exec::EvalKind::Jit)
+          .hash();
+  if (Req.Fn)
+    KeyHash ^= fnv1a(Req.Fn->decl().Name);
 
   std::shared_ptr<Engine> Target;
   unsigned Chosen = 0;

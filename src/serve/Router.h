@@ -8,9 +8,10 @@
 /// \file
 /// A front router over N serve::Engine shards, each with its own
 /// coalescer, fair queue and simulated devices. Requests hash to a shard
-/// by (tenant, PlanKey) — the same key the coalescer batches on — so one
-/// tenant's repeats of one shape land on one shard and keep coalescing,
-/// while distinct tenants and shapes spread across shards. Routing is
+/// by (tenant, function, PlanKey) — the key the coalescer batches on —
+/// so one tenant's requests to one function land on one shard and keep
+/// coalescing whatever their lengths, while distinct tenants and
+/// functions spread across shards. Routing is
 /// load-aware: when Options::SpillQueueDepth is set and the sticky
 /// shard's queue is deeper, the request spills to the shallowest live
 /// shard (deterministic, lowest index on ties).

@@ -102,6 +102,8 @@ struct DomainBox {
 
   /// A box [0, Extent_i - 1] per dimension.
   static DomainBox fromExtents(const std::vector<int64_t> &Extents);
+
+  friend bool operator==(const DomainBox &A, const DomainBox &B) = default;
 };
 
 /// An affine scheduling function Sf = a1*x1 + ... + an*xn (Section 4.2).

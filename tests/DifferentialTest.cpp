@@ -309,6 +309,79 @@ TEST(DifferentialTest, RandomProfileHmms) {
 }
 
 //===----------------------------------------------------------------------===//
+// One shape-generic kernel across lengths
+//===----------------------------------------------------------------------===//
+
+TEST(DifferentialTest, ShapeGenericKernelAcrossLengths) {
+  // One function, one kernel per shape, many boxes: a 32-residue query
+  // against subjects shorter and longer than it (the sliding window
+  // drops a different dimension), with the window and with the full
+  // table kept. AST, VM and JIT must agree on every observable, per
+  // partition too.
+  CompiledRecurrence Fn = compileOrDie(SmithWatermanSource);
+  const bio::SubstitutionMatrix M =
+      bio::SubstitutionMatrix::matchMismatch(bio::Alphabet::dna(), 2, 1);
+  const std::string &Letters = bio::Alphabet::dna().letters();
+  bio::Sequence Query("q", randomString(Letters, 32, 3));
+  gpu::Device Dev;
+  gpu::CostModel Model;
+  uint64_t FallbacksBefore =
+      obs::MetricsRegistry::global().snapshot().counter("jit.fallbacks");
+  for (size_t Length : {24u, 400u, 57u, 1u}) {
+    bio::Sequence Subject("s", randomString(Letters, Length, Length));
+    std::vector<ArgValue> Args = {ArgValue::ofMatrix(&M),
+                                  ArgValue::ofSeq(&Query), ArgValue(),
+                                  ArgValue::ofSeq(&Subject), ArgValue()};
+    for (bool KeepTable : {false, true})
+      for (bool Gpu : {true, false}) {
+        std::string Where = " (length " + std::to_string(Length) +
+                            (KeepTable ? ", full table" : ", window") +
+                            (Gpu ? ", gpu)" : ", cpu)");
+        RunOptions VmOpts;
+        VmOpts.KeepTable = KeepTable;
+        VmOpts.Trace = true;
+        RunOptions AstOpts = VmOpts;
+        AstOpts.Evaluator = EvalKind::Ast;
+        RunOptions JitOpts = VmOpts;
+        JitOpts.Evaluator = EvalKind::Jit;
+        JitOpts.JitCacheDir = jitCacheDirForTest();
+        DiagnosticEngine Diags;
+        auto RunWith = [&](const RunOptions &Opts) {
+          return Gpu ? Fn.runGpu(Args, Dev, Diags, Opts)
+                     : Fn.runCpu(Args, Model, Diags, Opts);
+        };
+        auto Vm = RunWith(VmOpts);
+        ASSERT_TRUE(Vm.has_value()) << Diags.str();
+        ASSERT_NE(Vm->Timeline, nullptr);
+        for (auto [Name, Opts] :
+             {std::pair{"AST", &AstOpts}, std::pair{"JIT", &JitOpts}}) {
+          auto Other = RunWith(*Opts);
+          ASSERT_TRUE(Other.has_value()) << Diags.str();
+          expectRunsIdentical(*Vm, *Other, Name, Where);
+          EXPECT_TRUE(Vm->Metrics == Other->Metrics) << Name << Where;
+          ASSERT_NE(Other->Timeline, nullptr);
+          ASSERT_EQ(Vm->Timeline->size(), Other->Timeline->size());
+          for (size_t P = 0; P != Vm->Timeline->size(); ++P) {
+            const gpu::PartitionSample &A = (*Vm->Timeline)[P];
+            const gpu::PartitionSample &B = (*Other->Timeline)[P];
+            EXPECT_EQ(A.Cells, B.Cells) << Name << Where << " p" << P;
+            EXPECT_EQ(A.MaxThreadCycles, B.MaxThreadCycles)
+                << Name << Where << " p" << P;
+            EXPECT_EQ(A.SumThreadCycles, B.SumThreadCycles)
+                << Name << Where << " p" << P;
+            EXPECT_EQ(A.ActiveThreads, B.ActiveThreads)
+                << Name << Where << " p" << P;
+          }
+        }
+      }
+  }
+  EXPECT_EQ(
+      obs::MetricsRegistry::global().snapshot().counter("jit.fallbacks"),
+      FallbacksBefore)
+      << "a JIT leg silently fell back to the bytecode VM";
+}
+
+//===----------------------------------------------------------------------===//
 // Plumbing: plans carry the program; shipped scripts agree end to end
 //===----------------------------------------------------------------------===//
 
@@ -324,10 +397,10 @@ TEST(DifferentialTest, PlansCarryTheCompiledProgram) {
   auto Plan = Fn.planFor(*Box, RunOptions(), nullptr, Diags);
   ASSERT_NE(Plan, nullptr) << Diags.str();
   // The plan shares the function's program — including on cache hits.
-  EXPECT_EQ(Plan->Program.get(), Fn.bytecode().get());
+  EXPECT_EQ(Plan->Shape->Program.get(), Fn.bytecode().get());
   auto Again = Fn.planFor(*Box, RunOptions(), nullptr, Diags);
   EXPECT_EQ(Again.get(), Plan.get());
-  EXPECT_EQ(Again->Program.get(), Fn.bytecode().get());
+  EXPECT_EQ(Again->Shape->Program.get(), Fn.bytecode().get());
 }
 
 TEST(DifferentialTest, JitUnderWorkerNesting) {

@@ -113,7 +113,7 @@ void expectWindowInvariant(const CompiledRecurrence &Fn,
 TEST(PlanCacheTest, LruEvictionAndStats) {
   exec::PlanCache Cache(/*Capacity=*/2);
   auto keyFor = [](int64_t Upper) {
-    exec::PlanKey Key;
+    exec::PlanCache::Key Key;
     Key.Lower = {0, 0};
     Key.Upper = {Upper, Upper};
     return Key;
@@ -143,16 +143,22 @@ TEST(PlanCacheTest, LruEvictionAndStats) {
 }
 
 TEST(PlanCacheTest, KeyDistinguishesOptionsAndSchedule) {
-  solver::DomainBox Box = solver::DomainBox::fromExtents({4, 4});
   solver::Schedule S{{1, 2}};
-  exec::PlanKey Minimal = exec::PlanKey::make(Box, true, false, nullptr);
-  exec::PlanKey Forced = exec::PlanKey::make(Box, true, false, &S);
-  exec::PlanKey NoWindow = exec::PlanKey::make(Box, false, false, nullptr);
-  exec::PlanKey Kept = exec::PlanKey::make(Box, true, true, nullptr);
+  exec::PlanKey Minimal = exec::PlanKey::make(true, false, nullptr);
+  exec::PlanKey Forced = exec::PlanKey::make(true, false, &S);
+  exec::PlanKey NoWindow = exec::PlanKey::make(false, false, nullptr);
+  exec::PlanKey Kept = exec::PlanKey::make(true, true, nullptr);
   EXPECT_FALSE(Minimal == Forced);
   EXPECT_FALSE(Minimal == NoWindow);
   EXPECT_FALSE(Minimal == Kept);
-  EXPECT_TRUE(Minimal == exec::PlanKey::make(Box, true, false, nullptr));
+  EXPECT_TRUE(Minimal == exec::PlanKey::make(true, false, nullptr));
+  // The box is not part of the PlanKey; the plan cache adds it.
+  solver::DomainBox Box = solver::DomainBox::fromExtents({4, 4});
+  solver::DomainBox Longer = solver::DomainBox::fromExtents({4, 9});
+  EXPECT_FALSE(exec::PlanCache::keyFor(Minimal, Box) ==
+               exec::PlanCache::keyFor(Minimal, Longer));
+  EXPECT_TRUE(exec::PlanCache::keyFor(Minimal, Box) ==
+              exec::PlanCache::keyFor(Minimal, Box));
 }
 
 TEST(PlanCacheTest, ConcurrentHammerKeepsCountersConsistent) {
@@ -166,7 +172,7 @@ TEST(PlanCacheTest, ConcurrentHammerKeepsCountersConsistent) {
   constexpr unsigned Iterations = 2000;
   constexpr unsigned Keys = 6;
   auto keyFor = [](unsigned K) {
-    exec::PlanKey Key;
+    exec::PlanCache::Key Key;
     Key.Lower = {0, 0};
     Key.Upper = {static_cast<int64_t>(K + 1),
                  static_cast<int64_t>(2 * K + 1)};
@@ -269,6 +275,32 @@ TEST(PlanCachePipelineTest, BatchSharesOnePlanAcrossSameShapedProblems) {
   exec::PlanCache::Stats Stats = Fn.planCacheStats();
   EXPECT_EQ(Stats.Misses, 1u);
   EXPECT_EQ(Stats.Hits, 7u);
+}
+
+TEST(PlanCachePipelineTest, NewLengthsShareOneShape) {
+  // Every box is its own plan, but boxes resolving to one schedule and
+  // window share one shape: the parametric nest is generated once.
+  CompiledRecurrence Fn = compileOrDie(ShippedEditDistanceSource);
+  DiagnosticEngine Diags;
+  std::vector<std::shared_ptr<const exec::ExecutablePlan>> Plans;
+  for (int64_t Length : {3, 11, 40}) {
+    auto Plan = Fn.planFor(solver::DomainBox::fromExtents({6, Length}),
+                           RunOptions(), nullptr, Diags);
+    ASSERT_NE(Plan, nullptr) << Diags.str();
+    Plans.push_back(std::move(Plan));
+  }
+  EXPECT_EQ(Fn.planCacheStats().Misses, 3u);
+  EXPECT_EQ(Plans[0]->Shape, Plans[1]->Shape);
+  EXPECT_EQ(Plans[0]->Shape, Plans[2]->Shape);
+  EXPECT_EQ(Plans[2]->Params, (std::vector<int64_t>{0, 5, 0, 39}));
+  EXPECT_EQ(Plans[2]->LastPartition, 5 + 39);
+  // A different window decision is a different shape.
+  RunOptions Full;
+  Full.UseSlidingWindow = false;
+  auto FullPlan = Fn.planFor(solver::DomainBox::fromExtents({6, 11}), Full,
+                             nullptr, Diags);
+  ASSERT_NE(FullPlan, nullptr) << Diags.str();
+  EXPECT_NE(FullPlan->Shape, Plans[1]->Shape);
 }
 
 //===----------------------------------------------------------------------===//

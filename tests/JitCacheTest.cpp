@@ -15,15 +15,20 @@
 ///
 //===----------------------------------------------------------------------===//
 
+#include "bio/Fasta.h"
+#include "bio/SubstitutionMatrix.h"
 #include "codegen/NativeJit.h"
+#include "exec/Plan.h"
 #include "obs/Metrics.h"
 #include "runtime/CompiledRecurrence.h"
 
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <deque>
 #include <filesystem>
 #include <fstream>
+#include <thread>
 
 #include <unistd.h>
 
@@ -40,6 +45,35 @@ const char *EditDistanceSource =
     "  else if s[i-1] == t[j-1] then d(i-1, j-1)\n"
     "  else (d(i-1, j) min d(i, j-1) min d(i-1, j-1)) + 1\n";
 
+const char *SmithWatermanSource =
+    "int sw(matrix[protein] m, seq[protein] a, index[a] i,\n"
+    "       seq[protein] b, index[b] j) =\n"
+    "  if i == 0 then 0\n"
+    "  else if j == 0 then 0\n"
+    "  else 0 max (sw(i-1, j-1) + m[a[i-1], b[j-1]])\n"
+    "       max (sw(i-1, j) - 4) max (sw(i, j-1) - 4)\n";
+
+/// Smith-Waterman arguments: a 32-residue query against one subject per
+/// requested length. Sequences live in a deque so the argument pointers
+/// stay valid.
+struct SwProblems {
+  std::deque<bio::Sequence> Seqs;
+  std::vector<std::vector<ArgValue>> Args;
+
+  explicit SwProblems(const std::vector<int64_t> &Lengths) {
+    Seqs.push_back(bio::randomSequence(bio::Alphabet::protein(), 32, 17,
+                                       "query"));
+    const bio::Sequence *Query = &Seqs.front();
+    for (int64_t Length : Lengths) {
+      Seqs.push_back(bio::randomSequence(bio::Alphabet::protein(), Length,
+                                         100 + Length, "subject"));
+      Args.push_back({ArgValue::ofMatrix(&bio::SubstitutionMatrix::blosum62()),
+                      ArgValue::ofSeq(Query), ArgValue(),
+                      ArgValue::ofSeq(&Seqs.back()), ArgValue()});
+    }
+  }
+};
+
 /// A fresh per-test cache directory (removed on construction so every
 /// test starts cold).
 std::string freshCacheDir(const char *Tag) {
@@ -49,9 +83,9 @@ std::string freshCacheDir(const char *Tag) {
   return Dir;
 }
 
-CompiledRecurrence compileOrDie() {
+CompiledRecurrence compileOrDie(const char *Source = EditDistanceSource) {
   DiagnosticEngine Diags;
-  auto Compiled = CompiledRecurrence::compile(EditDistanceSource, Diags);
+  auto Compiled = CompiledRecurrence::compile(Source, Diags);
   EXPECT_TRUE(Compiled.has_value()) << Diags.str();
   return std::move(*Compiled);
 }
@@ -189,4 +223,93 @@ TEST(JitCacheTest, BogusCompilerFallsBackToVm) {
   runOnce(Again, exec::EvalKind::Jit, Dir2);
   ::unsetenv("CC");
   EXPECT_EQ(codegen::jitWarningsEmitted(), 1u);
+}
+
+TEST(JitCacheTest, ConcurrentCompilesOfOneKernelNeverFallBack) {
+  // Threads (or processes) compiling the same kernel into one directory
+  // must never truncate a source file another compiler is reading: every
+  // compile succeeds and nothing falls back to the VM.
+  CompiledRecurrence Fn = compileOrDie();
+  bio::Sequence S("s", "kitten"), T("t", "sitting");
+  DiagnosticEngine Diags;
+  auto Box = Fn.domainFor({ArgValue::ofSeq(&S), ArgValue(),
+                           ArgValue::ofSeq(&T), ArgValue()},
+                          Diags);
+  ASSERT_TRUE(Box.has_value()) << Diags.str();
+  auto Plan = Fn.planFor(*Box, RunOptions(), nullptr, Diags);
+  ASSERT_NE(Plan, nullptr) << Diags.str();
+
+  uint64_t FallbacksBefore = counter("jit.fallbacks");
+  constexpr unsigned Threads = 8;
+  for (unsigned Rep = 0; Rep != 20; ++Rep) {
+    codegen::JitCompileOptions Opts;
+    Opts.CacheDir = freshCacheDir("race");
+    std::vector<std::shared_ptr<const codegen::JitKernel>> Kernels(Threads);
+    std::vector<std::thread> Pool;
+    for (unsigned I = 0; I != Threads; ++I)
+      Pool.emplace_back([&, I] {
+        Kernels[I] = codegen::compileKernel(*Plan->Shape, Opts);
+      });
+    for (std::thread &Th : Pool)
+      Th.join();
+    for (unsigned I = 0; I != Threads; ++I)
+      EXPECT_NE(Kernels[I], nullptr) << "rep " << Rep << ", thread " << I;
+    std::filesystem::remove_all(Opts.CacheDir);
+  }
+  EXPECT_EQ(counter("jit.fallbacks"), FallbacksBefore);
+}
+
+TEST(JitCacheTest, OneKernelServesEveryLength) {
+  // Subjects of 24 and 400 against a 32-residue query: the sliding
+  // window drops a different dimension for each, and the kernel source
+  // must not change. Each box is planned by a fresh function, so each
+  // source is generated anew rather than shared through the shape cache.
+  SwProblems Pair({24, 400});
+  for (bool KeepTable : {false, true}) {
+    SCOPED_TRACE(KeepTable ? "full table" : "sliding window");
+    RunOptions Opts;
+    Opts.KeepTable = KeepTable;
+    std::vector<std::string> Sources;
+    std::vector<unsigned> Dropped;
+    for (const std::vector<ArgValue> &Args : Pair.Args) {
+      CompiledRecurrence Fn = compileOrDie(SmithWatermanSource);
+      DiagnosticEngine Diags;
+      auto Box = Fn.domainFor(Args, Diags);
+      ASSERT_TRUE(Box.has_value()) << Diags.str();
+      auto Plan = Fn.planFor(*Box, Opts, nullptr, Diags);
+      ASSERT_NE(Plan, nullptr) << Diags.str();
+      EXPECT_EQ(Plan->Shape->UseWindow, !KeepTable);
+      Sources.push_back(codegen::renderKernelSource(*Plan->Shape));
+      Dropped.push_back(Plan->WindowDropDim);
+    }
+    ASSERT_FALSE(Sources[0].empty());
+    EXPECT_EQ(Sources[0], Sources[1]);
+    if (!KeepTable) {
+      EXPECT_NE(Dropped[0], Dropped[1]);
+    }
+    // No box constant: the long subject's bound, extent and plane size.
+    for (const char *Constant : {"400", "401", "13233"})
+      EXPECT_EQ(Sources[1].find(Constant), std::string::npos) << Constant;
+  }
+
+  // Served lengths compile once per shape — here the window shape and
+  // the full-table shape — however many lengths run.
+  SwProblems Lengths({24, 400, 57, 131, 32, 9});
+  std::string Dir = freshCacheDir("lengths");
+  CompiledRecurrence Fn = compileOrDie(SmithWatermanSource);
+  gpu::Device Dev;
+  uint64_t MissesBefore = counter("jit.cache_misses");
+  uint64_t FallbacksBefore = counter("jit.fallbacks");
+  for (bool KeepTable : {false, true})
+    for (const std::vector<ArgValue> &Args : Lengths.Args) {
+      RunOptions Opts;
+      Opts.KeepTable = KeepTable;
+      Opts.Evaluator = exec::EvalKind::Jit;
+      Opts.JitCacheDir = Dir;
+      DiagnosticEngine Diags;
+      EXPECT_TRUE(Fn.runGpu(Args, Dev, Diags, Opts).has_value())
+          << Diags.str();
+    }
+  EXPECT_EQ(counter("jit.cache_misses") - MissesBefore, 2u);
+  EXPECT_EQ(counter("jit.fallbacks"), FallbacksBefore);
 }

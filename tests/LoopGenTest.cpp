@@ -266,3 +266,132 @@ TEST(LoopGenTest, NegativeCoefficients) {
   EXPECT_EQ(Range->second, 3);
   EXPECT_EQ(scanAll(Nest, {}).size(), 12u);
 }
+
+//===----------------------------------------------------------------------===//
+// Parametric nests: one nest over the box as 2N parameters serves every box
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+/// The domain [Lower_0, Upper_0, ..., Lower_{N-1}, Upper_{N-1}, x0..xN-1]
+/// with Lower_d <= x_d <= Upper_d: the box itself as 2N parameters, the
+/// way Figure 9's nest takes m and n.
+Polyhedron parametricBoxDomain(unsigned N) {
+  std::vector<std::string> Names;
+  for (unsigned D = 0; D != N; ++D) {
+    Names.push_back("L" + std::to_string(D));
+    Names.push_back("U" + std::to_string(D));
+  }
+  for (unsigned D = 0; D != N; ++D)
+    Names.push_back("x" + std::to_string(D));
+  unsigned Dims = 3 * N;
+  Polyhedron P(Names);
+  for (unsigned D = 0; D != N; ++D) {
+    AffineExpr X = AffineExpr::dim(Dims, 2 * N + D);
+    P.addConstraint(Constraint::ge(X - AffineExpr::dim(Dims, 2 * D)));
+    P.addConstraint(Constraint::ge(AffineExpr::dim(Dims, 2 * D + 1) - X));
+  }
+  return P;
+}
+
+/// Every (partition, thread) slice of \p Nest at \p Params, in scan order.
+std::vector<std::vector<Point>>
+slicesOf(const LoopNest &Nest, const std::vector<int64_t> &Params,
+         std::pair<int64_t, int64_t> Range, unsigned Threads) {
+  std::vector<std::vector<Point>> Slices;
+  for (int64_t P = Range.first; P <= Range.second; ++P)
+    for (unsigned T = 0; T != Threads; ++T) {
+      Slices.emplace_back();
+      Nest.forEachPointForThread(Params, P, T, Threads,
+                                 [&](const int64_t *X) {
+                                   Slices.back().emplace_back(
+                                       X, X + Nest.NumRecursionDims);
+                                 });
+    }
+  return Slices;
+}
+
+/// Asserts the nest generated once over the parametric box, evaluated at
+/// \p Lower/\p Upper, scans exactly like the nest generated for that
+/// concrete box: same time range, same points in the same order for
+/// every (partition, thread) at 1, 3 and 32 threads.
+void expectParametricMatchesBox(const std::vector<int64_t> &Coeffs,
+                                const LoopNest &Parametric,
+                                const std::vector<int64_t> &Lower,
+                                const std::vector<int64_t> &Upper) {
+  unsigned N = static_cast<unsigned>(Coeffs.size());
+  std::vector<std::string> Names;
+  for (unsigned D = 0; D != N; ++D)
+    Names.push_back("x" + std::to_string(D));
+  Polyhedron Box(Names);
+  for (unsigned D = 0; D != N; ++D)
+    Box.addBounds(D, Lower[D], Upper[D]);
+  LoopNest Concrete = generateLoops(Box, 0, AffineExpr(Coeffs, 0));
+
+  std::vector<int64_t> Params;
+  for (unsigned D = 0; D != N; ++D) {
+    Params.push_back(Lower[D]);
+    Params.push_back(Upper[D]);
+  }
+  std::string Where = "schedule (";
+  for (unsigned D = 0; D != N; ++D)
+    Where += (D ? ", " : "") + std::to_string(Coeffs[D]);
+  Where += ") box";
+  for (unsigned D = 0; D != N; ++D)
+    Where += " [" + std::to_string(Lower[D]) + ", " +
+             std::to_string(Upper[D]) + "]";
+
+  auto Range = Concrete.timeRange({});
+  ASSERT_TRUE(Range.has_value()) << Where;
+  ASSERT_EQ(Parametric.timeRange(Params), Range) << Where;
+  EXPECT_EQ(Parametric.threadedLevel(), Concrete.threadedLevel()) << Where;
+  for (unsigned Threads : {1u, 3u, 32u})
+    EXPECT_EQ(slicesOf(Parametric, Params, *Range, Threads),
+              slicesOf(Concrete, {}, *Range, Threads))
+        << Where << ", " << Threads << " threads";
+}
+
+std::vector<int64_t> randomCoefficients(SplitMix64 &Rng, unsigned N) {
+  std::vector<int64_t> Coeffs(N);
+  bool AllZero = true;
+  for (int64_t &C : Coeffs) {
+    C = Rng.nextInRange(-3, 3);
+    AllZero &= C == 0;
+  }
+  if (AllZero)
+    Coeffs[Rng.nextBelow(N)] = 1;
+  return Coeffs;
+}
+
+} // namespace
+
+TEST(LoopGenTest, ParametricNestMatchesBoxNest) {
+  // The minimal schedules of the six shipped recurrences: i + j for
+  // Smith-Waterman and edit distance, the sequence index alone for the
+  // four HMM recurrences over (state, index) — casino and profile
+  // forward, gene-finder and CpG-island Viterbi.
+  std::vector<std::vector<int64_t>> Schedules = {{1, 1}, {0, 1}};
+  SplitMix64 Rng(0x9A4A3E7);
+  for (unsigned I = 0; I != 24; ++I)
+    Schedules.push_back(
+        randomCoefficients(Rng, 1 + static_cast<unsigned>(Rng.nextBelow(3))));
+
+  for (const std::vector<int64_t> &Coeffs : Schedules) {
+    unsigned N = static_cast<unsigned>(Coeffs.size());
+    // Built once per schedule, evaluated at every box below.
+    std::vector<int64_t> WithParams(2 * N, 0);
+    WithParams.insert(WithParams.end(), Coeffs.begin(), Coeffs.end());
+    LoopNest Parametric = generateLoops(parametricBoxDomain(N), 2 * N,
+                                        AffineExpr(WithParams, 0));
+    for (unsigned B = 0; B != 8; ++B) {
+      std::vector<int64_t> Lower(N), Upper(N);
+      for (unsigned D = 0; D != N; ++D) {
+        Lower[D] = Rng.nextInRange(-4, 3);
+        // Every fourth dimension draw is a single point.
+        int64_t Extent = Rng.nextBelow(4) == 0 ? 1 : Rng.nextInRange(2, 7);
+        Upper[D] = Lower[D] + Extent - 1;
+      }
+      expectParametricMatchesBox(Coeffs, Parametric, Lower, Upper);
+    }
+  }
+}

@@ -390,7 +390,7 @@ TEST(MetricsTest, PlanCacheFeedsGlobalRegistry) {
   MetricsSnapshot Before = MetricsRegistry::global().snapshot();
 
   exec::PlanCache Cache(/*Capacity=*/1);
-  exec::PlanKey KeyA, KeyB;
+  exec::PlanCache::Key KeyA, KeyB;
   KeyA.Upper = {4, 4};
   KeyB.Upper = {8, 8};
   auto Plan = std::make_shared<const exec::ExecutablePlan>();

@@ -133,19 +133,20 @@ struct HandRolled {
     H.Bytecode = codegen::compileToBytecode(*H.Decl, *H.Info);
 
     const solver::RecurrenceSpec &Rec = H.Info->Recurrence;
+    auto Shape = std::make_shared<exec::PlanShape>();
     H.Plan.Box = Box;
-    H.Plan.Program = H.Bytecode;
+    Shape->Program = H.Bytecode;
     std::optional<solver::Schedule> Minimal =
         solver::findMinimalSchedule(Rec, Box, Diags);
     if (!Minimal)
       return std::nullopt;
-    H.Plan.Sched = std::move(*Minimal);
+    Shape->Sched = std::move(*Minimal);
     std::optional<int64_t> Window =
-        solver::slidingWindowDepth(Rec, H.Plan.Sched);
-    int DropDim = Window ? exec::pickWindowDropDim(H.Plan.Sched, Box) : -1;
+        solver::slidingWindowDepth(Rec, Shape->Sched);
+    int DropDim = Window ? exec::pickWindowDropDim(Shape->Sched, Box) : -1;
     if (Window && DropDim >= 0) {
-      H.Plan.UseWindow = true;
-      H.Plan.WindowDepth = *Window;
+      Shape->UseWindow = true;
+      Shape->WindowDepth = *Window;
       H.Plan.WindowDropDim = static_cast<unsigned>(DropDim);
     }
     std::vector<std::string> DimNames;
@@ -154,14 +155,15 @@ struct HandRolled {
     poly::Polyhedron Domain(DimNames);
     for (unsigned D = 0; D != Box.numDims(); ++D)
       Domain.addBounds(D, Box.Lower[D], Box.Upper[D]);
-    H.Plan.Nest = poly::generateLoops(Domain, /*NumParams=*/0,
-                                      H.Plan.Sched.toAffineExpr(0));
-    auto TimeRange = H.Plan.Nest.timeRange({});
+    Shape->Nest = poly::generateLoops(Domain, /*NumParams=*/0,
+                                      Shape->Sched.toAffineExpr(0));
+    auto TimeRange = Shape->Nest.timeRange({});
     if (!TimeRange)
       return std::nullopt;
     H.Plan.FirstPartition = TimeRange->first;
     H.Plan.LastPartition = TimeRange->second;
-    H.Plan.RootPartition = H.Plan.Sched.apply(Box.Upper);
+    H.Plan.RootPartition = Shape->Sched.apply(Box.Upper);
+    H.Plan.Shape = std::move(Shape);
     return H;
   }
 
@@ -196,15 +198,15 @@ void expectPipelineMatchesHandRolled(const char *Source,
   std::shared_ptr<const exec::ExecutablePlan> Plan =
       Fn.planFor(*Box, {}, /*Preselected=*/nullptr, Diags);
   ASSERT_NE(Plan, nullptr) << Diags.str();
-  EXPECT_EQ(Plan->Sched, Legacy->Plan.Sched);
-  EXPECT_EQ(Plan->UseWindow, Legacy->Plan.UseWindow);
-  EXPECT_EQ(Plan->WindowDepth, Legacy->Plan.WindowDepth);
+  EXPECT_EQ(Plan->Shape->Sched, Legacy->Plan.Shape->Sched);
+  EXPECT_EQ(Plan->Shape->UseWindow, Legacy->Plan.Shape->UseWindow);
+  EXPECT_EQ(Plan->Shape->WindowDepth, Legacy->Plan.Shape->WindowDepth);
   EXPECT_EQ(Plan->WindowDropDim, Legacy->Plan.WindowDropDim);
   EXPECT_EQ(Plan->FirstPartition, Legacy->Plan.FirstPartition);
   EXPECT_EQ(Plan->LastPartition, Legacy->Plan.LastPartition);
   EXPECT_EQ(Plan->RootPartition, Legacy->Plan.RootPartition);
   EXPECT_EQ(Plan->TunedThreads, 0u);
-  EXPECT_EQ(Plan->Program != nullptr, Legacy->Bytecode != nullptr);
+  EXPECT_EQ(Plan->Shape->Program != nullptr, Legacy->Bytecode != nullptr);
 
   // ...and so must every observable of the executed runs: values, cell
   // counts, modelled cycles, memory traffic.
@@ -463,7 +465,7 @@ TEST(PassPipelineTest, DisabledSlidingWindowKeepsFullTable) {
   std::shared_ptr<const exec::ExecutablePlan> Plan =
       Fn.planFor(*Box, {}, /*Preselected=*/nullptr, Diags);
   ASSERT_NE(Plan, nullptr) << Diags.str();
-  EXPECT_FALSE(Plan->UseWindow);
+  EXPECT_FALSE(Plan->Shape->UseWindow);
   auto Got = Fn.runGpu(editDistanceArgs(S, T), Dev, Diags);
   ASSERT_TRUE(Got.has_value()) << Diags.str();
   EXPECT_EQ(Got->RootValue, Want->RootValue);

@@ -838,6 +838,31 @@ struct SameShapeProblems {
   }
 };
 
+/// Smith-Waterman problems whose subjects all differ in length — one
+/// PlanKey, six boxes, and both choices of the dropped window dimension
+/// (subjects shorter and longer than the 32-residue query).
+struct DistinctLengthProblems {
+  CompiledRecurrence Sw = compileOrDie(SwSource);
+  std::deque<bio::Sequence> Seqs;
+  std::vector<std::vector<ArgValue>> Args;
+
+  DistinctLengthProblems() {
+    const bio::SubstitutionMatrix &Blosum =
+        bio::SubstitutionMatrix::blosum62();
+    Seqs.push_back(bio::randomSequence(bio::Alphabet::protein(), 32,
+                                       /*Seed=*/0xBEE, "query"));
+    const bio::Sequence *Query = &Seqs.back();
+    for (int64_t Length : {24, 61, 9, 40, 131, 31}) {
+      Seqs.push_back(bio::randomSequence(bio::Alphabet::protein(), Length,
+                                         300 + Length,
+                                         "s" + std::to_string(Length)));
+      Args.push_back({ArgValue::ofMatrix(&Blosum), ArgValue::ofSeq(Query),
+                      ArgValue(), ArgValue::ofSeq(&Seqs.back()),
+                      ArgValue()});
+    }
+  }
+};
+
 } // namespace
 
 TEST(ServeEngineTest, PipelinedFuturesResolveBeforeBatchEnd) {
@@ -1040,6 +1065,85 @@ TEST(ServeEngineTest, ServedBatchMatchesDirectBatchOnModelledClock) {
     ASSERT_EQ(Stats.Batches, 1u);
     EXPECT_EQ(Stats.DeviceCycles[0], Batch->TotalCycles);
   }
+}
+
+TEST(ServeEngineTest, ServedMixedLengthBatchMatchesDirectBatch) {
+  // Requests of six different lengths share one PlanKey, so they form
+  // exactly one served batch — one plan per member — whose completion
+  // cycles and makespan equal runGpuBatch's over the same problems,
+  // under every dispatch policy. The memo never confuses two lengths.
+  DistinctLengthProblems P;
+  gpu::CostModel Model;
+  Model.NumMultiprocessors = 2;
+  gpu::Device Direct(Model);
+
+  for (const DispatchPolicyCase &Policy : DispatchPolicies) {
+    SCOPED_TRACE(Policy.Name);
+    RunOptions Ro;
+    Ro.Pipeline = Policy.Pipeline;
+    Ro.PackSmall = Policy.PackSmall;
+    DiagnosticEngine Diags;
+    std::optional<BatchResult> Batch =
+        P.Sw.runGpuBatch(P.Args, Direct, Diags, Ro);
+    ASSERT_TRUE(Batch.has_value()) << Diags.str();
+    ASSERT_EQ(Batch->CompletionCycles.size(), P.Args.size());
+
+    serve::Engine::Options Opts;
+    Opts.Model = Model;
+    Opts.Devices = 1;
+    Opts.MaxBatch = P.Args.size();
+    Opts.StartPaused = true;
+    Opts.Pipeline = Policy.Pipeline;
+    Opts.PackSmall = Policy.PackSmall;
+    Opts.MemoCapacity = 64;
+    serve::Engine Engine(Opts);
+    std::vector<serve::Future> Futures;
+    for (const auto &Args : P.Args) {
+      serve::Request Req;
+      Req.Fn = &P.Sw;
+      Req.Args = Args;
+      Futures.push_back(Engine.submit(std::move(Req)));
+    }
+    Engine.resume();
+    for (size_t I = 0; I != Futures.size(); ++I) {
+      const serve::Response &Resp = Futures[I].wait();
+      ASSERT_EQ(Resp.St, serve::Status::Ok) << Resp.Error;
+      EXPECT_FALSE(Resp.Memoized) << "problem " << I;
+      expectIdentical(Batch->Problems[I], Resp.Result);
+      EXPECT_EQ(Resp.CompletionCycle, Batch->CompletionCycles[I])
+          << "problem " << I;
+      EXPECT_EQ(Resp.BatchSize, P.Args.size());
+    }
+
+    // Exact repeats hit their own length's entry, never another's.
+    for (size_t I = 0; I != P.Args.size(); ++I) {
+      serve::Request Req;
+      Req.Fn = &P.Sw;
+      Req.Args = P.Args[I];
+      serve::Future Repeat = Engine.submit(std::move(Req));
+      const serve::Response &Resp = Repeat.wait();
+      ASSERT_EQ(Resp.St, serve::Status::Ok) << Resp.Error;
+      EXPECT_TRUE(Resp.Memoized) << "problem " << I;
+      expectIdentical(Batch->Problems[I], Resp.Result);
+      EXPECT_EQ(Resp.CompletionCycle, Batch->CompletionCycles[I]);
+    }
+    Engine.shutdown(serve::Engine::ShutdownMode::Drain);
+    serve::Engine::Stats Stats = Engine.stats();
+    ASSERT_EQ(Stats.Batches, 1u);
+    EXPECT_EQ(Stats.MemoHits, P.Args.size());
+    EXPECT_EQ(Stats.DeviceCycles[0], Batch->TotalCycles);
+  }
+}
+
+TEST(ServeEngineTest, PlacementEstimateSumsMemberCells) {
+  using solver::DomainBox;
+  DomainBox Small = DomainBox::fromExtents({33, 25});
+  DomainBox Large = DomainBox::fromExtents({33, 401});
+  EXPECT_EQ(serve::Engine::estimateBatchCost({Small, Large, Small}),
+            33u * 25u + 33u * 401u + 33u * 25u);
+  // A batch of one box costs cells x members.
+  EXPECT_EQ(serve::Engine::estimateBatchCost({Large, Large, Large}),
+            3u * 33u * 401u);
 }
 
 TEST(ServeEngineTest, CallbacksSeeCompletedCountedBeforeResolution) {
