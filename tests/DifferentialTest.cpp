@@ -16,6 +16,8 @@
 ///
 //===----------------------------------------------------------------------===//
 
+#include "baselines/HmmBaselines.h"
+#include "bio/Fasta.h"
 #include "bio/HmmZoo.h"
 #include "obs/Metrics.h"
 #include "runtime/CompiledRecurrence.h"
@@ -23,6 +25,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <fstream>
 #include <sstream>
 
@@ -90,6 +93,23 @@ const char *DnaViterbiSource =
     "    (if s.isend then 1.0 else s.emission[x[i-1]]) *\n"
     "    max(t in s.transitionsto : t.prob * viterbi(t.start, i - 1))\n";
 
+const char *ProteinForwardSource =
+    "prob forward(hmm h, state[h] s, seq[protein] x, index[x] i) =\n"
+    "  if i == 0 then\n"
+    "    if s.isstart then 1.0 else 0.0\n"
+    "  else\n"
+    "    (if s.isend then 1.0 else s.emission[x[i-1]]) *\n"
+    "    sum(t in s.transitionsto : t.prob * forward(t.start, i - 1))\n";
+
+// An int recursion whose boundary cells exceed 2^53 in magnitude (so
+// every table store rounds) and whose interior cells are all negative.
+const char *WideIntSource =
+    "int big(seq[dna] a, index[a] i, seq[dna] b, index[b] j) =\n"
+    "  if i == 0 then 0 - 9007199254740993 * j\n"
+    "  else if j == 0 then 9007199254740993 * i + 1\n"
+    "  else (big(i-1, j) min big(i, j-1)) +\n"
+    "       (if a[i-1] == b[j-1] then big(i-1, j-1) / 1048576 else 0 - 5)\n";
+
 /// A per-process JIT disk cache so concurrent test shards never share
 /// (or pollute) the user's real cache.
 const std::string &jitCacheDirForTest() {
@@ -124,6 +144,30 @@ void expectRunsIdentical(const RunResult &Vm, const RunResult &Other,
       << Other.Cost.ModelReads << ", " << Other.Cost.Transcendentals
       << "}";
   EXPECT_EQ(Vm.Cycles, Other.Cycles) << OtherName << Where;
+}
+
+/// Asserts two traced runs agree on the GPU metrics and, partition by
+/// partition, on the lockstep timeline: cells, slowest-thread and
+/// summed per-thread cycles, active threads.
+void expectTimelinesIdentical(const RunResult &Vm, const RunResult &Other,
+                              const char *OtherName,
+                              const std::string &Where) {
+  EXPECT_TRUE(Vm.Metrics == Other.Metrics) << OtherName << Where;
+  ASSERT_NE(Vm.Timeline, nullptr) << Where;
+  ASSERT_NE(Other.Timeline, nullptr) << OtherName << Where;
+  ASSERT_EQ(Vm.Timeline->size(), Other.Timeline->size())
+      << OtherName << Where;
+  for (size_t P = 0; P != Vm.Timeline->size(); ++P) {
+    const gpu::PartitionSample &A = (*Vm.Timeline)[P];
+    const gpu::PartitionSample &B = (*Other.Timeline)[P];
+    EXPECT_EQ(A.Cells, B.Cells) << OtherName << Where << " p" << P;
+    EXPECT_EQ(A.MaxThreadCycles, B.MaxThreadCycles)
+        << OtherName << Where << " p" << P;
+    EXPECT_EQ(A.SumThreadCycles, B.SumThreadCycles)
+        << OtherName << Where << " p" << P;
+    EXPECT_EQ(A.ActiveThreads, B.ActiveThreads)
+        << OtherName << Where << " p" << P;
+  }
 }
 
 /// Runs \p Args through the bytecode VM, the AST tree-walker and the
@@ -171,6 +215,57 @@ void expectEvaluatorsAgree(const CompiledRecurrence &Fn,
   }
   // The JIT legs must have run the compiled kernel, not the silent VM
   // fallback — otherwise the comparison above proves nothing.
+  EXPECT_EQ(
+      obs::MetricsRegistry::global().snapshot().counter("jit.fallbacks"),
+      FallbacksBefore)
+      << "a JIT leg silently fell back to the bytecode VM";
+}
+
+/// expectEvaluatorsAgree across every scan mode the cell path feeds:
+/// traced, on both backends, with the sliding window on and off, and on
+/// one and four scan workers (one-cell grains force the fan-out). Adds
+/// the GPU metrics and the per-partition timeline to the observables.
+void expectEvaluatorsAgreeInEveryScanMode(const CompiledRecurrence &Fn,
+                                          const std::vector<ArgValue> &Args) {
+  ASSERT_NE(Fn.bytecode(), nullptr)
+      << "recursion unexpectedly fell back to the AST evaluator";
+  gpu::Device Dev;
+  gpu::CostModel Model;
+  DiagnosticEngine Diags;
+  uint64_t FallbacksBefore =
+      obs::MetricsRegistry::global().snapshot().counter("jit.fallbacks");
+  for (bool Window : {true, false})
+    for (bool Gpu : {true, false})
+      for (unsigned ScanWorkers : {1u, 4u}) {
+        RunOptions VmOpts;
+        VmOpts.UseSlidingWindow = Window;
+        VmOpts.Trace = true;
+        VmOpts.ScanWorkers = ScanWorkers;
+        VmOpts.ScanGrainCells = 1;
+        RunOptions AstOpts = VmOpts;
+        AstOpts.Evaluator = EvalKind::Ast;
+        RunOptions JitOpts = VmOpts;
+        JitOpts.Evaluator = EvalKind::Jit;
+        JitOpts.JitCacheDir = jitCacheDirForTest();
+        auto RunWith = [&](const RunOptions &Opts) {
+          return Gpu ? Fn.runGpu(Args, Dev, Diags, Opts)
+                     : Fn.runCpu(Args, Model, Diags, Opts);
+        };
+        std::string Where = std::string(" (window=") +
+                            (Window ? "on" : "off") +
+                            ", backend=" + (Gpu ? "gpu" : "cpu") +
+                            ", scan-workers=" + std::to_string(ScanWorkers) +
+                            ")";
+        auto Vm = RunWith(VmOpts);
+        ASSERT_TRUE(Vm.has_value()) << Diags.str();
+        for (auto [Name, Opts] :
+             {std::pair{"AST", &AstOpts}, std::pair{"JIT", &JitOpts}}) {
+          auto Other = RunWith(*Opts);
+          ASSERT_TRUE(Other.has_value()) << Diags.str();
+          expectRunsIdentical(*Vm, *Other, Name, Where);
+          expectTimelinesIdentical(*Vm, *Other, Name, Where);
+        }
+      }
   EXPECT_EQ(
       obs::MetricsRegistry::global().snapshot().counter("jit.fallbacks"),
       FallbacksBefore)
@@ -309,6 +404,70 @@ TEST(DifferentialTest, RandomProfileHmms) {
 }
 
 //===----------------------------------------------------------------------===//
+// Cell-path guards: the benchmark's forward shape and wide int tables
+//===----------------------------------------------------------------------===//
+
+TEST(DifferentialTest, DenseProfileForwardEveryScanMode) {
+  // The scan_long forward shape: a 50-position protein profile after
+  // silent-state elimination (about 100 states, ~14 incoming
+  // transitions per state), so every cell reduces a long log-space sum.
+  CompiledRecurrence Fn = compileOrDie(ProteinForwardSource);
+  DiagnosticEngine Diags;
+  auto Profile = bio::eliminateSilentStates(
+      bio::makeProfileHmm(/*MatchPositions=*/50, bio::Alphabet::protein(),
+                          /*Seed=*/5),
+      Diags);
+  ASSERT_TRUE(Profile.has_value()) << Diags.str();
+  std::vector<bio::Sequence> Reads;
+  Reads.emplace_back("sampled", Profile->sample(/*Seed=*/9));
+  for (int64_t Length : {1, 17, 60})
+    Reads.push_back(bio::randomSequence(bio::Alphabet::protein(), Length,
+                                        /*Seed=*/static_cast<uint64_t>(
+                                            Length * 3 + 1),
+                                        "read"));
+  gpu::Device Dev;
+  for (const bio::Sequence &X : Reads) {
+    ASSERT_GT(X.length(), 0) << X.name();
+    std::vector<ArgValue> Args = {ArgValue::ofHmm(&*Profile), ArgValue(),
+                                  ArgValue::ofSeq(&X), ArgValue()};
+    expectEvaluatorsAgreeInEveryScanMode(Fn, Args);
+
+    // The independent chained-logAddExp oracle agrees to rounding.
+    RunOptions JitOpts;
+    JitOpts.Evaluator = EvalKind::Jit;
+    JitOpts.JitCacheDir = jitCacheDirForTest();
+    auto Jit = Fn.runGpu(Args, Dev, Diags, JitOpts);
+    ASSERT_TRUE(Jit.has_value()) << Diags.str();
+    gpu::CostCounter Cost;
+    double Want = baselines::forwardLogLikelihood(*Profile, X, Cost);
+    ASSERT_TRUE(std::isfinite(Want)) << X.name();
+    EXPECT_LE(std::fabs(Jit->RootValue - Want), 1e-12 * std::fabs(Want))
+        << X.name() << ": " << Jit->RootValue << " vs " << Want;
+  }
+}
+
+TEST(DifferentialTest, WideNegativeIntTableEveryScanMode) {
+  CompiledRecurrence Fn = compileOrDie(WideIntSource);
+  const std::string &Letters = bio::Alphabet::dna().letters();
+  for (uint64_t Seed = 1; Seed <= 2; ++Seed) {
+    bio::Sequence A("a", randomString(Letters, 9 + Seed * 5, Seed));
+    bio::Sequence B("b", randomString(Letters, 17 - Seed * 3, Seed + 50));
+    std::vector<ArgValue> Args = {ArgValue::ofSeq(&A), ArgValue(),
+                                  ArgValue::ofSeq(&B), ArgValue()};
+    expectEvaluatorsAgreeInEveryScanMode(Fn, Args);
+
+    // The table really is wide and negative: the root sits below -2^53
+    // and the first column above +2^53.
+    gpu::Device Dev;
+    DiagnosticEngine Diags;
+    auto Vm = Fn.runGpu(Args, Dev, Diags, RunOptions());
+    ASSERT_TRUE(Vm.has_value()) << Diags.str();
+    EXPECT_LT(Vm->RootValue, -0x1p53);
+    EXPECT_GT(Vm->TableMax, 0x1p53);
+  }
+}
+
+//===----------------------------------------------------------------------===//
 // One shape-generic kernel across lengths
 //===----------------------------------------------------------------------===//
 
@@ -358,20 +517,7 @@ TEST(DifferentialTest, ShapeGenericKernelAcrossLengths) {
           auto Other = RunWith(*Opts);
           ASSERT_TRUE(Other.has_value()) << Diags.str();
           expectRunsIdentical(*Vm, *Other, Name, Where);
-          EXPECT_TRUE(Vm->Metrics == Other->Metrics) << Name << Where;
-          ASSERT_NE(Other->Timeline, nullptr);
-          ASSERT_EQ(Vm->Timeline->size(), Other->Timeline->size());
-          for (size_t P = 0; P != Vm->Timeline->size(); ++P) {
-            const gpu::PartitionSample &A = (*Vm->Timeline)[P];
-            const gpu::PartitionSample &B = (*Other->Timeline)[P];
-            EXPECT_EQ(A.Cells, B.Cells) << Name << Where << " p" << P;
-            EXPECT_EQ(A.MaxThreadCycles, B.MaxThreadCycles)
-                << Name << Where << " p" << P;
-            EXPECT_EQ(A.SumThreadCycles, B.SumThreadCycles)
-                << Name << Where << " p" << P;
-            EXPECT_EQ(A.ActiveThreads, B.ActiveThreads)
-                << Name << Where << " p" << P;
-          }
+          expectTimelinesIdentical(*Vm, *Other, Name, Where);
         }
       }
   }
