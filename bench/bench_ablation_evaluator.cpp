@@ -21,9 +21,8 @@
 ///   --smoke     small problem sizes + fewer repetitions (CI gate)
 ///   --out=PATH  JSON output path (default BENCH_evaluator.json)
 ///
-/// Exits non-zero if the VM is slower than the AST walker on any case
-/// study, or if the JIT is slower than the VM on Smith-Waterman or
-/// Viterbi (the loop-dominated cases where native code must win).
+/// Exits non-zero if the VM is slower than the AST walker, or the JIT
+/// slower than the VM, on any case study.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -36,6 +35,7 @@
 #include <cstdio>
 #include <cstring>
 #include <string>
+#include <thread>
 #include <vector>
 
 using namespace parrec;
@@ -186,6 +186,8 @@ void writeJson(const std::string &Path,
   }
   std::fprintf(F, "{\n  \"benchmark\": \"evaluator_ablation\",\n");
   std::fprintf(F, "  \"mode\": \"%s\",\n", Smoke ? "smoke" : "full");
+  std::fprintf(F, "  \"hardware_concurrency\": %u,\n",
+               std::thread::hardware_concurrency());
   std::fprintf(F, "  \"cases\": [\n");
   for (size_t I = 0; I != Cases.size(); ++I) {
     const CaseResult &C = Cases[I];
@@ -306,12 +308,12 @@ int main(int Argc, char **Argv) {
                    C.Name.c_str(), C.Speedup);
       Ok = false;
     }
-    // The gate the JIT must hold: at least VM speed on the two
-    // loop-dominated case studies (the reduce-heavy profile forward is
-    // reported but not gated — its hot path is the CSR reduction the VM
-    // already runs tight).
-    if ((C.Name == "smith_waterman" || C.Name == "viterbi_genefinder") &&
-        C.JitSpeedup < 1.0) {
+    // The gate the JIT must hold: at least VM speed on every case study,
+    // the reduce-heavy profile forward included. Forward's cost is libm
+    // time in its log-space sum, not the CSR reduction's memory traffic;
+    // with LogSumAcc the per-transition exps no longer wait on each
+    // other, and native code wins there as well.
+    if (C.JitSpeedup < 1.0) {
       std::fprintf(stderr, "FAIL: JIT slower than VM on %s (%.2fx)\n",
                    C.Name.c_str(), C.JitSpeedup);
       Ok = false;

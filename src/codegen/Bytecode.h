@@ -115,7 +115,10 @@ enum class Opcode : uint8_t {
   // variants bake in the function's return-type conversion.
   TableReadReal, // R[A].D = T(target of CallDesc[B])
   TableReadBool, // R[A].I = T(...) != 0.0
-  TableReadInt,  // R[A].I = llround(T(...))
+  TableReadInt,  // R[A].I = (int64_t)T(...): an int table only stores
+                 // (double)int64_t values, which are integral, so the
+                 // cast is exact (no rounding call needed). A value that
+                 // rounded up to 2^63 is out of range for llround too.
 
   // Model reads, pre-resolved to parameter slots at compile time.
   SeqChar,      // R[A].I = seq param B at index R[C].I

@@ -306,8 +306,7 @@ private:
     }
       VM_NEXT();
     VM_CASE(TableReadInt) : {
-      R[In->A].I = static_cast<int64_t>(
-          std::llround(readTable(In->B, Point, Table)));
+      R[In->A].I = static_cast<int64_t>(readTable(In->B, Point, Table));
     }
       VM_NEXT();
     VM_CASE(SeqChar) : {
@@ -375,10 +374,9 @@ private:
       // initialises its accumulators.
       double AccumReal = 0.0;
       int64_t AccumInt = 0;
+      LogSumAcc LogSum;
       switch (Rd.Kind) {
       case lang::ReductionKind::Sum:
-        if (Rd.AccKind == ReduceDesc::Acc::Prob)
-          AccumReal = NegInfinity;
         break;
       case lang::ReductionKind::Max:
         AccumReal = NegInfinity;
@@ -398,7 +396,7 @@ private:
         switch (Rd.Kind) {
         case lang::ReductionKind::Sum:
           if (Rd.AccKind == ReduceDesc::Acc::Prob)
-            AccumReal = logAddExp(AccumReal, Body.D);
+            LogSum.add(Body.D);
           else if (Rd.AccKind == ReduceDesc::Acc::Int)
             AccumInt += Body.I;
           else
@@ -419,6 +417,9 @@ private:
         }
         First = false;
       }
+      if (Rd.Kind == lang::ReductionKind::Sum &&
+          Rd.AccKind == ReduceDesc::Acc::Prob)
+        AccumReal = LogSum.result();
       if (Rd.AccKind == ReduceDesc::Acc::Int)
         R[Rd.DstReg].I = AccumInt;
       else

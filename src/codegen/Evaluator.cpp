@@ -367,7 +367,9 @@ Evaluator::RuntimeValue Evaluator::evalExpr(const Expr *E,
     case TypeKind::Bool:
       return RV::ofBool(Stored != 0.0);
     default:
-      return RV::ofInt(static_cast<int64_t>(std::llround(Stored)));
+      // An int table only holds (double)int64_t values, which are
+      // integral, so the truncating cast is exact.
+      return RV::ofInt(static_cast<int64_t>(Stored));
     }
   }
 
@@ -470,14 +472,13 @@ Evaluator::RuntimeValue Evaluator::evalExpr(const Expr *E,
 
     bool IsProb = R->ExprType.Kind == TypeKind::Prob;
     bool First = true;
-    // Identities for empty sets: sum -> 0 (log 0 = -inf for probs),
-    // max -> -inf / INT64_MIN, min -> +inf / INT64_MAX.
+    // Identities for empty sets: sum -> 0 (LogSumAcc's -inf = log 0 for
+    // probs), max -> -inf / INT64_MIN, min -> +inf / INT64_MAX.
     double AccumReal = 0.0;
     int64_t AccumInt = 0;
+    LogSumAcc LogSum;
     switch (R->Reduction) {
     case ReductionKind::Sum:
-      if (IsProb)
-        AccumReal = NegInfinity;
       break;
     case ReductionKind::Max:
       AccumReal = NegInfinity;
@@ -503,7 +504,7 @@ Evaluator::RuntimeValue Evaluator::evalExpr(const Expr *E,
         if (IsProb) {
           Ctx.Cost->Ops += 2;
           Ctx.Cost->Transcendentals += 1;
-          AccumReal = logAddExp(AccumReal, BodyLog);
+          LogSum.add(BodyLog);
         } else if (Body.K == RV::Kind::Int) {
           Ctx.Cost->Ops += 1;
           AccumInt += Body.I;
@@ -539,6 +540,8 @@ Evaluator::RuntimeValue Evaluator::evalExpr(const Expr *E,
     }
     Ctx.Reductions.pop_back();
 
+    if (IsProb && R->Reduction == ReductionKind::Sum)
+      return RV::ofReal(LogSum.result());
     if (IsProb || R->ExprType.Kind == TypeKind::Float)
       return RV::ofReal(AccumReal);
     return RV::ofInt(AccumInt);

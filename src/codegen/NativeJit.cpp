@@ -273,8 +273,15 @@ private:
   /// kernel's e<k> locals, the time step is v0 and the point v1..vN.
   std::string nestVar(unsigned D) const {
     unsigned Params = Shape.Nest.NumParams;
-    return D < Params ? "e" + std::to_string(D)
-                      : "v" + std::to_string(D - Params);
+    return D < Params ? indexedVar("e", D) : indexedVar("v", D - Params);
+  }
+
+  /// The C variable <Prefix><N>. Appending (rather than `"v" + string`)
+  /// keeps GCC 12's -Wrestrict false positive on string insert quiet.
+  static std::string indexedVar(const char *Prefix, unsigned N) {
+    std::string S = Prefix;
+    S += std::to_string(N);
+    return S;
   }
 
   /// Affine expression over the nest dimensions. Only the parameters and
@@ -343,7 +350,7 @@ private:
     line(" * it (bounds, partitions and table layout come from the");
     line(" * run-time extents). Bit-identical to the bytecode VM by");
     line(" * construction: one FP op per statement, -ffp-contract=off,");
-    line(" * hexfloat immediates, LogSpace.h helpers copied op-for-op. */");
+    line(" * hexfloat immediates, LogSpace.h sequences emitted op-for-op. */");
     line("#include <math.h>");
     line("#include <stdint.h>");
     line("");
@@ -421,8 +428,9 @@ private:
     line("                 int32_t check_root, pr_slot_t *slot,");
     line("                 uint64_t *thread_cycles) {");
     ++Indent;
-    // The extents are copied into locals once per call so the compiler
-    // keeps them in registers through the whole scan.
+    // The extents, the table base and the cycle weights are copied into
+    // locals once per call so the compiler keeps them in registers
+    // through the whole scan.
     line("const int64_t *ext = a->extents;");
     for (unsigned P = 0; P != Slots.P; ++P)
       line("const int64_t e%u = ext[%u];", P, P);
@@ -431,6 +439,11 @@ private:
       line("const uint64_t ts%u = (uint64_t)ext[%u];", D, Slots.stride(D));
     line("const uint64_t t_base = (uint64_t)ext[%u];", Slots.tableBase());
     line("const uint64_t t_plane = (uint64_t)ext[%u];", Slots.planeSize());
+    for (unsigned D = 0; D != Slots.N; ++D)
+      line("const int64_t root%u = ext[%u];", D, Slots.root(D));
+    line("double *const tab = a->table;");
+    line("const uint64_t cyc_op = a->cyc_op, cyc_trans = a->cyc_trans;");
+    line("const uint64_t cyc_table = a->cyc_table, cyc_model = a->cyc_model;");
     line("pr_reg r[%u];", Prog->NumRegs);
     line("(void)n_threads;");
     line("(void)min_p;");
@@ -439,6 +452,12 @@ private:
          Slots.lastPartition());
     line("  return;");
     line("const int64_t v0 = p;");
+    // The slot's lanes live in locals for the whole call: a store through
+    // slot-> inside the cell loop may alias the table or the arguments,
+    // which would force reloads on every cell.
+    line("uint64_t k_ops = 0, k_tr = 0, k_tw = 0, k_mr = 0, k_tc = 0;");
+    line("uint64_t k_cells = 0, k_has_root = slot->has_root;");
+    line("double k_max = slot->table_max, k_root = slot->root_value;");
     if (!Shape.UseWindow) {
       emitThreadLoop();
     } else {
@@ -464,6 +483,15 @@ private:
         line("}");
       }
     }
+    line("slot->ops += k_ops;");
+    line("slot->table_reads += k_tr;");
+    line("slot->table_writes += k_tw;");
+    line("slot->model_reads += k_mr;");
+    line("slot->transcendentals += k_tc;");
+    line("slot->cells += k_cells;");
+    line("slot->table_max = k_max;");
+    line("slot->root_value = k_root;");
+    line("slot->has_root = k_has_root;");
     --Indent;
     line("}");
   }
@@ -605,27 +633,26 @@ private:
     }
     std::vector<std::string> Point;
     for (unsigned D = 0; D != Slots.N; ++D)
-      Point.push_back("v" + std::to_string(1 + D));
+      Point.push_back(indexedVar("v", 1 + D));
     line("double cv = %s;", ConvExpr.c_str());
-    line("a->table[%s] = cv;", addr(Point).c_str());
+    line("tab[%s] = cv;", addr(Point).c_str());
     line("d_tw += 1ULL;"); // The cell's own store, as evalCell charges it.
-    line("slot->ops += d_ops;");
-    line("slot->table_reads += d_tr;");
-    line("slot->table_writes += d_tw;");
-    line("slot->model_reads += d_mr;");
-    line("slot->transcendentals += d_tc;");
-    line("cyc += d_ops * a->cyc_op + d_tc * a->cyc_trans");
-    line("    + (d_tr + d_tw) * a->cyc_table + d_mr * a->cyc_model;");
-    line("slot->cells += 1ULL;");
-    line("if (cv > slot->table_max)");
-    line("  slot->table_max = cv;");
+    line("k_ops += d_ops;");
+    line("k_tr += d_tr;");
+    line("k_tw += d_tw;");
+    line("k_mr += d_mr;");
+    line("k_tc += d_tc;");
+    line("cyc += d_ops * cyc_op + d_tc * cyc_trans");
+    line("    + (d_tr + d_tw) * cyc_table + d_mr * cyc_model;");
+    line("k_cells += 1ULL;");
+    line("if (cv > k_max)");
+    line("  k_max = cv;");
     std::string RootCond = "check_root";
     for (unsigned D = 0; D != Slots.N; ++D)
-      RootCond += " && v" + std::to_string(1 + D) + " == ext[" +
-                  std::to_string(Slots.root(D)) + "]";
+      RootCond += " && " + Point[D] + " == root" + std::to_string(D);
     line("if (%s) {", RootCond.c_str());
-    line("  slot->root_value = cv;");
-    line("  slot->has_root = 1ULL;");
+    line("  k_root = cv;");
+    line("  k_has_root = 1ULL;");
     line("}");
     --Indent;
     line("}");
@@ -701,7 +728,7 @@ private:
       if (IntAcc)
         line("int64_t acc = 0;");
       else if (Rd.AccKind == ReduceDesc::Acc::Prob)
-        line("double acc = -INFINITY;");
+        line("double acc = -INFINITY, acc_s = 0.0;"); // LogSumAcc's M, S.
       else
         line("double acc = 0.0;");
       break;
@@ -745,10 +772,19 @@ private:
     const char *Slot = IntAcc ? "i" : "d";
     switch (Rd.Kind) {
     case lang::ReductionKind::Sum:
-      if (Rd.AccKind == ReduceDesc::Acc::Prob)
-        line("acc = pr_logaddexp(acc, r[%d].d);", Rd.BodyReg);
-      else
+      if (Rd.AccKind == ReduceDesc::Acc::Prob) {
+        // LogSumAcc::add, statement for statement.
+        line("if (r[%d].d != -INFINITY) {", Rd.BodyReg);
+        line("  if (r[%d].d > acc) {", Rd.BodyReg);
+        line("    acc_s = (acc_s + 1.0) * exp(acc - r[%d].d);", Rd.BodyReg);
+        line("    acc = r[%d].d;", Rd.BodyReg);
+        line("  } else {");
+        line("    acc_s += exp(r[%d].d - acc);", Rd.BodyReg);
+        line("  }");
+        line("}");
+      } else {
         line("acc += r[%d].%s;", Rd.BodyReg, Slot);
+      }
       break;
     case lang::ReductionKind::Min:
       // std::min(acc, body) selects body only on strict body < acc.
@@ -765,6 +801,9 @@ private:
       line("rfirst = 0;");
     --Indent;
     line("}");
+    if (Rd.Kind == lang::ReductionKind::Sum &&
+        Rd.AccKind == ReduceDesc::Acc::Prob)
+      line("acc = acc_s == 0.0 ? acc : acc + log1p(acc_s);"); // result()
     line("r[%d].%s = acc;", Rd.DstReg, Slot);
     --Indent;
     line("}");
@@ -788,7 +827,7 @@ private:
              pointAffine(&Prog->AffinePool[Ca.CoeffOffset], Ca.Bias).c_str());
       Point.push_back("tg" + std::to_string(A));
     }
-    line("double tv = a->table[%s];", addr(Point).c_str());
+    line("double tv = tab[%s];", addr(Point).c_str());
     switch (In.Op) {
     case Opcode::TableReadReal:
       line("r[%d].d = tv;", In.A);
@@ -797,7 +836,7 @@ private:
       line("r[%d].i = tv != 0.0;", In.A);
       break;
     case Opcode::TableReadInt:
-      line("r[%d].i = (int64_t)llround(tv);", In.A);
+      line("r[%d].i = (int64_t)tv;", In.A); // Integral: exact.
       break;
     default:
       fail();

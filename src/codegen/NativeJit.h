@@ -116,7 +116,9 @@ struct JitArgs {
 
 /// Per-invocation outputs, folded into the caller's WorkerSlot: the wide
 /// cost lanes (table writes include the per-cell store), cell count,
-/// running table maximum and the root-cell capture.
+/// running table maximum and the root-cell capture. The kernel keeps
+/// these in locals while it scans and writes the slot once per call, on
+/// return; a call for a partition outside the box leaves it untouched.
 struct JitSlot {
   uint64_t Ops;
   uint64_t TableReads;

@@ -173,9 +173,13 @@ void expectTimelinesIdentical(const RunResult &Vm, const RunResult &Other,
 /// Runs \p Args through the bytecode VM, the AST tree-walker and the
 /// native JIT kernel on both backends, with the sliding window on and
 /// off, and asserts every observable — values, cell counts, cost
-/// events, simulated cycles — is bit-identical across all three.
+/// events, simulated cycles — is bit-identical across all three. With
+/// \p EveryScanMode the runs are also traced, adding the GPU metrics
+/// and the per-partition timeline to the observables, and repeated on
+/// one and four scan workers (one-cell grains force the fan-out).
 void expectEvaluatorsAgree(const CompiledRecurrence &Fn,
-                           const std::vector<ArgValue> &Args) {
+                           const std::vector<ArgValue> &Args,
+                           bool EveryScanMode = false) {
   // The whole point is to exercise the VM: the recursion must compile.
   ASSERT_NE(Fn.bytecode(), nullptr)
       << "recursion unexpectedly fell back to the AST evaluator";
@@ -185,87 +189,52 @@ void expectEvaluatorsAgree(const CompiledRecurrence &Fn,
   DiagnosticEngine Diags;
   uint64_t FallbacksBefore =
       obs::MetricsRegistry::global().snapshot().counter("jit.fallbacks");
+  std::vector<unsigned> ScanWorkers = {0}; // 0: the default budget.
+  if (EveryScanMode)
+    ScanWorkers = {1, 4};
   for (bool Window : {true, false}) {
     for (bool Gpu : {true, false}) {
-      RunOptions VmOpts;
-      VmOpts.UseSlidingWindow = Window;
-      RunOptions AstOpts = VmOpts;
-      AstOpts.Evaluator = EvalKind::Ast;
-      RunOptions JitOpts = VmOpts;
-      JitOpts.Evaluator = EvalKind::Jit;
-      JitOpts.JitCacheDir = jitCacheDirForTest();
-
-      auto RunWith = [&](const RunOptions &Opts) {
-        return Gpu ? Fn.runGpu(Args, Dev, Diags, Opts)
-                   : Fn.runCpu(Args, Model, Diags, Opts);
-      };
-      auto Vm = RunWith(VmOpts);
-      auto Ast = RunWith(AstOpts);
-      auto Jit = RunWith(JitOpts);
-      ASSERT_TRUE(Vm.has_value()) << Diags.str();
-      ASSERT_TRUE(Ast.has_value()) << Diags.str();
-      ASSERT_TRUE(Jit.has_value()) << Diags.str();
-
-      std::string Where = std::string(" (window=") +
-                          (Window ? "on" : "off") +
-                          ", backend=" + (Gpu ? "gpu" : "cpu") + ")";
-      expectRunsIdentical(*Vm, *Ast, "AST", Where);
-      expectRunsIdentical(*Vm, *Jit, "JIT", Where);
-    }
-  }
-  // The JIT legs must have run the compiled kernel, not the silent VM
-  // fallback — otherwise the comparison above proves nothing.
-  EXPECT_EQ(
-      obs::MetricsRegistry::global().snapshot().counter("jit.fallbacks"),
-      FallbacksBefore)
-      << "a JIT leg silently fell back to the bytecode VM";
-}
-
-/// expectEvaluatorsAgree across every scan mode the cell path feeds:
-/// traced, on both backends, with the sliding window on and off, and on
-/// one and four scan workers (one-cell grains force the fan-out). Adds
-/// the GPU metrics and the per-partition timeline to the observables.
-void expectEvaluatorsAgreeInEveryScanMode(const CompiledRecurrence &Fn,
-                                          const std::vector<ArgValue> &Args) {
-  ASSERT_NE(Fn.bytecode(), nullptr)
-      << "recursion unexpectedly fell back to the AST evaluator";
-  gpu::Device Dev;
-  gpu::CostModel Model;
-  DiagnosticEngine Diags;
-  uint64_t FallbacksBefore =
-      obs::MetricsRegistry::global().snapshot().counter("jit.fallbacks");
-  for (bool Window : {true, false})
-    for (bool Gpu : {true, false})
-      for (unsigned ScanWorkers : {1u, 4u}) {
+      for (unsigned Workers : ScanWorkers) {
         RunOptions VmOpts;
         VmOpts.UseSlidingWindow = Window;
-        VmOpts.Trace = true;
-        VmOpts.ScanWorkers = ScanWorkers;
-        VmOpts.ScanGrainCells = 1;
+        if (EveryScanMode) {
+          VmOpts.Trace = true;
+          VmOpts.ScanWorkers = Workers;
+          VmOpts.ScanGrainCells = 1;
+        }
         RunOptions AstOpts = VmOpts;
         AstOpts.Evaluator = EvalKind::Ast;
         RunOptions JitOpts = VmOpts;
         JitOpts.Evaluator = EvalKind::Jit;
         JitOpts.JitCacheDir = jitCacheDirForTest();
+
         auto RunWith = [&](const RunOptions &Opts) {
           return Gpu ? Fn.runGpu(Args, Dev, Diags, Opts)
                      : Fn.runCpu(Args, Model, Diags, Opts);
         };
+        auto Vm = RunWith(VmOpts);
+        auto Ast = RunWith(AstOpts);
+        auto Jit = RunWith(JitOpts);
+        ASSERT_TRUE(Vm.has_value()) << Diags.str();
+        ASSERT_TRUE(Ast.has_value()) << Diags.str();
+        ASSERT_TRUE(Jit.has_value()) << Diags.str();
+
         std::string Where = std::string(" (window=") +
                             (Window ? "on" : "off") +
                             ", backend=" + (Gpu ? "gpu" : "cpu") +
-                            ", scan-workers=" + std::to_string(ScanWorkers) +
+                            ", scan-workers=" + std::to_string(Workers) +
                             ")";
-        auto Vm = RunWith(VmOpts);
-        ASSERT_TRUE(Vm.has_value()) << Diags.str();
-        for (auto [Name, Opts] :
-             {std::pair{"AST", &AstOpts}, std::pair{"JIT", &JitOpts}}) {
-          auto Other = RunWith(*Opts);
-          ASSERT_TRUE(Other.has_value()) << Diags.str();
-          expectRunsIdentical(*Vm, *Other, Name, Where);
-          expectTimelinesIdentical(*Vm, *Other, Name, Where);
+        expectRunsIdentical(*Vm, *Ast, "AST", Where);
+        expectRunsIdentical(*Vm, *Jit, "JIT", Where);
+        if (EveryScanMode) {
+          expectTimelinesIdentical(*Vm, *Ast, "AST", Where);
+          expectTimelinesIdentical(*Vm, *Jit, "JIT", Where);
         }
       }
+    }
+  }
+  // The JIT legs must have run the compiled kernel, not the silent VM
+  // fallback — otherwise the comparison above proves nothing.
   EXPECT_EQ(
       obs::MetricsRegistry::global().snapshot().counter("jit.fallbacks"),
       FallbacksBefore)
@@ -430,7 +399,7 @@ TEST(DifferentialTest, DenseProfileForwardEveryScanMode) {
     ASSERT_GT(X.length(), 0) << X.name();
     std::vector<ArgValue> Args = {ArgValue::ofHmm(&*Profile), ArgValue(),
                                   ArgValue::ofSeq(&X), ArgValue()};
-    expectEvaluatorsAgreeInEveryScanMode(Fn, Args);
+    expectEvaluatorsAgree(Fn, Args, /*EveryScanMode=*/true);
 
     // The independent chained-logAddExp oracle agrees to rounding.
     RunOptions JitOpts;
@@ -454,7 +423,7 @@ TEST(DifferentialTest, WideNegativeIntTableEveryScanMode) {
     bio::Sequence B("b", randomString(Letters, 17 - Seed * 3, Seed + 50));
     std::vector<ArgValue> Args = {ArgValue::ofSeq(&A), ArgValue(),
                                   ArgValue::ofSeq(&B), ArgValue()};
-    expectEvaluatorsAgreeInEveryScanMode(Fn, Args);
+    expectEvaluatorsAgree(Fn, Args, /*EveryScanMode=*/true);
 
     // The table really is wide and negative: the root sits below -2^53
     // and the first column above +2^53.

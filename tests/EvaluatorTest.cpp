@@ -8,11 +8,16 @@
 #include "codegen/Evaluator.h"
 
 #include "bio/HmmZoo.h"
+#include "codegen/LogSpace.h"
 #include "lang/Parser.h"
+#include "support/Random.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <limits>
 
 using namespace parrec;
 using namespace parrec::codegen;
@@ -246,4 +251,105 @@ TEST(HmmLogCacheTest, MatchesModelParameters) {
   unsigned Loaded = static_cast<unsigned>(Model.findState("loaded"));
   EXPECT_NEAR(Cache.LogEmissions[Loaded][5], std::log(0.5), 1e-12);
   EXPECT_TRUE(Cache.LogEmissions[Model.startState()].empty());
+}
+
+//===----------------------------------------------------------------------===//
+// LogSumAcc: the one-pass log-space sum every evaluator reduces with
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+double logSum(const std::vector<double> &Terms) {
+  LogSumAcc Acc;
+  for (double X : Terms)
+    Acc.add(X);
+  return Acc.result();
+}
+
+/// The chained fold LogSumAcc replaced (and the baselines still use).
+double chainedLogSum(const std::vector<double> &Terms) {
+  double Acc = NegInfinity;
+  for (double X : Terms)
+    Acc = logAddExp(Acc, X);
+  return Acc;
+}
+
+uint64_t bitsOf(double X) { return std::bit_cast<uint64_t>(X); }
+
+} // namespace
+
+TEST(LogSumAccTest, EmptyReductionIsNegativeInfinity) {
+  EXPECT_EQ(LogSumAcc().result(), NegInfinity);
+  EXPECT_EQ(logSum({NegInfinity, NegInfinity}), NegInfinity);
+}
+
+TEST(LogSumAccTest, OneTermIsReturnedBitExactly) {
+  for (double X : {0.0, -0.0, -1e-300, -0.5, -3.25, -744.5, -1e308, 7.0})
+    EXPECT_EQ(bitsOf(logSum({X})), bitsOf(X)) << X;
+}
+
+TEST(LogSumAccTest, TwoTermsMatchLogAddExpBitExactly) {
+  SplitMix64 Rng(17);
+  std::vector<std::pair<double, double>> Pairs = {
+      {-1.0, -1.0}, {0.0, 0.0}, {-700.0, -700.0}, // ties
+      {0.0, -800.0}, {-2.0, -2.0 - 1e-15}, {-1e-300, -5.0}};
+  for (int I = 0; I != 200; ++I)
+    Pairs.push_back({-700.0 * Rng.nextDouble(), -700.0 * Rng.nextDouble()});
+  for (auto [A, B] : Pairs) {
+    EXPECT_EQ(bitsOf(logSum({A, B})), bitsOf(logAddExp(A, B)))
+        << A << ", " << B;
+    EXPECT_EQ(bitsOf(logSum({B, A})), bitsOf(logAddExp(B, A)))
+        << B << ", " << A;
+  }
+}
+
+TEST(LogSumAccTest, NegativeInfinityTermsAreSkippedAnywhere) {
+  const double Ninf = NegInfinity;
+  double Want = logSum({-3.0, -1.0, -2.0});
+  for (double Got :
+       {logSum({Ninf, -3.0, -1.0, -2.0}), logSum({-3.0, Ninf, -1.0, -2.0}),
+        logSum({-3.0, -1.0, Ninf, -2.0}), logSum({-3.0, -1.0, -2.0, Ninf}),
+        logSum({Ninf, -3.0, Ninf, -1.0, Ninf, -2.0, Ninf})})
+    EXPECT_EQ(bitsOf(Got), bitsOf(Want));
+  EXPECT_EQ(bitsOf(logSum({Ninf, -4.5})), bitsOf(-4.5));
+  EXPECT_EQ(bitsOf(logSum({-4.5, Ninf})), bitsOf(-4.5));
+}
+
+TEST(LogSumAccTest, InfinityAndNanBehaveLikeTheChainedForm) {
+  const double Inf = std::numeric_limits<double>::infinity();
+  const double Nan = std::numeric_limits<double>::quiet_NaN();
+  const double Ninf = NegInfinity;
+  std::vector<std::vector<double>> Cases = {
+      {Inf},       {Inf, -1.0},      {-1.0, Inf},  {-1.0, Inf, -2.0},
+      {Inf, Inf},  {Inf, -1.0, Inf}, {Ninf, Inf},  {Nan},
+      {Nan, -1.0}, {-1.0, Nan},      {Ninf, Nan},  {Nan, Ninf},
+      {Inf, Nan},  {Nan, Inf},       {-1.0, -2.0, Nan, -3.0}};
+  for (size_t I = 0; I != Cases.size(); ++I) {
+    double Want = chainedLogSum(Cases[I]);
+    double Got = logSum(Cases[I]);
+    if (std::isnan(Want))
+      EXPECT_TRUE(std::isnan(Got)) << "case " << I << ": " << Got;
+    else
+      EXPECT_EQ(Got, Want) << "case " << I;
+  }
+}
+
+TEST(LogSumAccTest, RandomSetsAgreeWithALongDoubleReference) {
+  SplitMix64 Rng(2012);
+  for (int Trial = 0; Trial != 2000; ++Trial) {
+    size_t N = 1 + Rng.nextBelow(64);
+    std::vector<double> Terms(N);
+    for (double &X : Terms)
+      X = -700.0 * Rng.nextDouble();
+    LogSumAcc Acc;
+    for (double X : Terms)
+      Acc.add(X);
+    long double Max = *std::max_element(Terms.begin(), Terms.end());
+    long double Sum = 0.0L;
+    for (double X : Terms)
+      Sum += std::exp(static_cast<long double>(X) - Max);
+    long double Want = Max + std::log(Sum);
+    EXPECT_NEAR(Acc.result(), static_cast<double>(Want), 1e-12)
+        << "trial " << Trial << ", " << N << " terms";
+  }
 }

@@ -11,11 +11,13 @@
 /// of any kind, a corrupt cache entry is silently recompiled, the
 /// ParRec_JIT_CACHE override is honoured, and a broken host compiler
 /// degrades to the bytecode VM with identical results and exactly one
-/// warning line for the whole process.
+/// warning line for the whole process. Also pins what the rendered cell
+/// path may not contain: per-term libm calls and slot stores.
 ///
 //===----------------------------------------------------------------------===//
 
 #include "bio/Fasta.h"
+#include "bio/HmmZoo.h"
 #include "bio/SubstitutionMatrix.h"
 #include "codegen/NativeJit.h"
 #include "exec/Plan.h"
@@ -52,6 +54,14 @@ const char *SmithWatermanSource =
     "  else if j == 0 then 0\n"
     "  else 0 max (sw(i-1, j-1) + m[a[i-1], b[j-1]])\n"
     "       max (sw(i-1, j) - 4) max (sw(i, j-1) - 4)\n";
+
+const char *ForwardSource =
+    "prob forward(hmm h, state[h] s, seq[protein] x, index[x] i) =\n"
+    "  if i == 0 then\n"
+    "    if s.isstart then 1.0 else 0.0\n"
+    "  else\n"
+    "    (if s.isend then 1.0 else s.emission[x[i-1]]) *\n"
+    "    sum(t in s.transitionsto : t.prob * forward(t.start, i - 1))\n";
 
 /// Smith-Waterman arguments: a 32-residue query against one subject per
 /// requested length. Sequences live in a deque so the argument pointers
@@ -115,6 +125,45 @@ double runOnce(const CompiledRecurrence &Fn, exec::EvalKind Evaluator,
   auto Result = Fn.runGpu(Args, Dev, Diags, Opts);
   EXPECT_TRUE(Result.has_value()) << Diags.str();
   return Result ? Result->RootValue : -1.0;
+}
+
+/// The kernel source \p Source's plan for \p Args renders to.
+std::string renderedKernel(const char *Source,
+                           const std::vector<ArgValue> &Args,
+                           bool KeepTable) {
+  DiagnosticEngine Diags;
+  auto Fn = CompiledRecurrence::compile(Source, Diags);
+  EXPECT_TRUE(Fn.has_value()) << Diags.str();
+  if (!Fn)
+    return "";
+  auto Box = Fn->domainFor(Args, Diags);
+  EXPECT_TRUE(Box.has_value()) << Diags.str();
+  if (!Box)
+    return "";
+  RunOptions Opts;
+  Opts.KeepTable = KeepTable;
+  auto Plan = Fn->planFor(*Box, Opts, nullptr, Diags);
+  EXPECT_NE(Plan, nullptr) << Diags.str();
+  return Plan ? codegen::renderKernelSource(*Plan->Shape) : "";
+}
+
+/// Every block of \p Source that \p Head opens, from the head to its
+/// matching close brace.
+std::vector<std::string> blocksOpenedBy(const std::string &Source,
+                                        const std::string &Head) {
+  std::vector<std::string> Blocks;
+  for (size_t At = Source.find(Head); At != std::string::npos;
+       At = Source.find(Head, At + 1)) {
+    size_t End = Source.find('{', At);
+    for (int Depth = 0; End < Source.size(); ++End) {
+      if (Source[End] == '{')
+        ++Depth;
+      else if (Source[End] == '}' && --Depth == 0)
+        break;
+    }
+    Blocks.push_back(Source.substr(At, End + 1 - At));
+  }
+  return Blocks;
 }
 
 } // namespace
@@ -312,4 +361,47 @@ TEST(JitCacheTest, OneKernelServesEveryLength) {
     }
   EXPECT_EQ(counter("jit.cache_misses") - MissesBefore, 2u);
   EXPECT_EQ(counter("jit.fallbacks"), FallbacksBefore);
+}
+
+TEST(JitCacheTest, CellPathCallsNoLibmPerTermAndKeepsCountersLocal) {
+  // Smith-Waterman's int table reads are exact casts, the forward
+  // reduction's loop runs LogSumAcc (its log1p follows the loop), and
+  // the cost lanes, table max and root capture reach the slot once per
+  // call, after the simulated-thread loops.
+  SwProblems Sw({40});
+  DiagnosticEngine Diags;
+  auto Profile = bio::eliminateSilentStates(
+      bio::makeProfileHmm(4, bio::Alphabet::protein(), /*Seed=*/3), Diags);
+  ASSERT_TRUE(Profile.has_value()) << Diags.str();
+  bio::Sequence Read =
+      bio::randomSequence(bio::Alphabet::protein(), 30, 8, "read");
+  std::vector<ArgValue> ForwardArgs = {ArgValue::ofHmm(&*Profile),
+                                       ArgValue(), ArgValue::ofSeq(&Read),
+                                       ArgValue()};
+  for (bool KeepTable : {false, true}) {
+    SCOPED_TRACE(KeepTable ? "full table" : "sliding window");
+    std::string SwKernel =
+        renderedKernel(SmithWatermanSource, Sw.Args[0], KeepTable);
+    std::string ForwardKernel =
+        renderedKernel(ForwardSource, ForwardArgs, KeepTable);
+    ASSERT_FALSE(SwKernel.empty());
+    ASSERT_FALSE(ForwardKernel.empty());
+    EXPECT_EQ(SwKernel.find("llround"), std::string::npos);
+
+    std::vector<std::string> Reductions =
+        blocksOpenedBy(ForwardKernel, "for (uint64_t re = 0;");
+    ASSERT_FALSE(Reductions.empty());
+    for (const std::string &Loop : Reductions) {
+      EXPECT_EQ(Loop.find("log1p"), std::string::npos) << Loop;
+      EXPECT_EQ(Loop.find("pr_logaddexp"), std::string::npos) << Loop;
+    }
+
+    for (const std::string *Kernel : {&SwKernel, &ForwardKernel}) {
+      std::vector<std::string> ThreadLoops =
+          blocksOpenedBy(*Kernel, "for (uint32_t t = t_begin;");
+      ASSERT_FALSE(ThreadLoops.empty());
+      for (const std::string &Loop : ThreadLoops)
+        EXPECT_EQ(Loop.find("slot->"), std::string::npos) << Loop;
+    }
+  }
 }
