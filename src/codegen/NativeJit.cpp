@@ -11,6 +11,7 @@
 #include "exec/Plan.h"
 #include "exec/Table.h"
 #include "obs/Metrics.h"
+#include "obs/Trace.h"
 
 #include <algorithm>
 #include <atomic>
@@ -24,6 +25,7 @@
 #include <filesystem>
 #include <fstream>
 #include <set>
+#include <system_error>
 
 #include <dlfcn.h>
 #include <unistd.h>
@@ -1099,6 +1101,15 @@ std::shared_ptr<const JitKernel> tryLoad(const std::string &SoPath) {
 
 uint64_t codegen::jitWarningsEmitted() { return WarningsPrinted.load(); }
 
+JitCompileOptions
+JitCompileOptions::resolve(const std::string &CacheDirOverride) {
+  JitCompileOptions Opts;
+  Opts.CacheDir = resolveCacheDir(CacheDirOverride);
+  if (const char *Cc = std::getenv("CC"); Cc && *Cc)
+    Opts.Cc = Cc;
+  return Opts;
+}
+
 std::shared_ptr<const JitKernel>
 codegen::compileKernel(const exec::PlanShape &Shape,
                        const JitCompileOptions &Opts) {
@@ -1108,7 +1119,7 @@ codegen::compileKernel(const exec::PlanShape &Shape,
   if (Source.empty())
     return fallBack("unsupported plan or cell-body shape");
 
-  std::string Dir = resolveCacheDir(Opts.CacheDir);
+  const std::string &Dir = Opts.CacheDir;
   std::error_code Ec;
   std::filesystem::create_directories(Dir, Ec);
   if (Ec)
@@ -1153,10 +1164,7 @@ codegen::compileKernel(const exec::PlanShape &Shape,
     }
   }
 
-  const char *Cc = std::getenv("CC");
-  if (!Cc || !*Cc)
-    Cc = "cc";
-  std::string Cmd = std::string(Cc) +
+  std::string Cmd = Opts.Cc +
                     " -O2 -shared -fPIC -ffp-contract=off -o '" + Tmp +
                     "' '" + CTmp + "' -lm 2>/dev/null";
 
@@ -1186,4 +1194,22 @@ codegen::compileKernel(const exec::PlanShape &Shape,
   if (auto Kernel = tryLoad(SoPath))
     return Kernel;
   return fallBack("dlopen of the compiled kernel failed");
+}
+
+KernelHandle codegen::startCompile(const exec::PlanShape &Shape,
+                                   JitCompileOptions Opts) {
+  auto Compile = [&Shape, Opts = std::move(Opts)] {
+    obs::Span S("jit.compile", "codegen");
+    std::shared_ptr<const JitKernel> Kernel = compileKernel(Shape, Opts);
+    if (S.active())
+      S.arg("fallback", Kernel == nullptr);
+    return Kernel;
+  };
+  try {
+    return std::async(std::launch::async, std::move(Compile)).share();
+  } catch (const std::system_error &) {
+    std::promise<std::shared_ptr<const JitKernel>> NoThread;
+    NoThread.set_value(fallBack("cannot start a compile thread"));
+    return NoThread.get_future().share();
+  }
 }

@@ -53,6 +53,7 @@
 #include "codegen/Evaluator.h"
 
 #include <cstdint>
+#include <future>
 #include <memory>
 #include <string>
 #include <vector>
@@ -195,10 +196,18 @@ private:
   std::vector<HmmData> HmmStore;
 };
 
+/// Everything a compile reads besides the shape, resolved before it
+/// starts: a compile never reads the environment.
 struct JitCompileOptions {
-  /// On-disk shared-object cache directory. Empty resolves, in order, to
-  /// $ParRec_JIT_CACHE, $PARREC_JIT_CACHE, ~/.cache/parrec-jit.
+  /// On-disk shared-object cache directory.
   std::string CacheDir;
+  /// Host C compiler command.
+  std::string Cc = "cc";
+
+  /// Resolves the options from the environment: CacheDir is
+  /// \p CacheDirOverride when non-empty, else $ParRec_JIT_CACHE,
+  /// $PARREC_JIT_CACHE, ~/.cache/parrec-jit; Cc is $CC, else "cc".
+  static JitCompileOptions resolve(const std::string &CacheDirOverride);
 };
 
 /// Renders, compiles (or loads from the disk cache) and resolves the
@@ -209,6 +218,19 @@ struct JitCompileOptions {
 /// one shape and one cache directory, from threads or processes.
 std::shared_ptr<const JitKernel>
 compileKernel(const exec::PlanShape &Shape, const JitCompileOptions &Opts);
+
+/// A kernel whose compile may still be running: waiting on it yields the
+/// kernel, or null after a fallback. The last copy's destructor joins
+/// the compile.
+using KernelHandle = std::shared_future<std::shared_ptr<const JitKernel>>;
+
+/// Runs compileKernel(\p Shape, \p Opts) on a thread of its own, inside
+/// a `jit.compile` span. \p Shape must outlive the handle; a shape
+/// storing the handle as its last member (PlanShape::Kernel) does, since
+/// destroying the handle joins the compile before the shape's other
+/// members go.
+KernelHandle startCompile(const exec::PlanShape &Shape,
+                          JitCompileOptions Opts);
 
 /// Renders the C translation unit for \p Shape without compiling it.
 /// Returns an empty string when the shape is one the emitter does not

@@ -287,14 +287,24 @@ bool passFinalize(CompilationModule &M, obs::Span &S) {
 bool passJit(CompilationModule &M, obs::Span &S) {
   if (!M.Box || !M.Plan || M.Plan->Shape != M.Draft)
     return missing(M, "jit", "a newly generated loop nest");
-  codegen::JitCompileOptions Opts;
-  Opts.CacheDir = M.Request.JitCacheDir;
-  // compileKernel owns the fallback path: on any failure it warns once,
-  // bumps jit.fallbacks and returns null, and the backend keeps using
-  // the bytecode VM — a JIT problem never fails compilation.
-  M.Draft->Kernel = codegen::compileKernel(*M.Draft, Opts);
+  // The compile runs on its own thread; planning only starts it, with
+  // the environment read here. compileKernel owns the fallback path: on
+  // any failure it warns once, bumps jit.fallbacks and yields null, and
+  // the backend keeps using the bytecode VM — a JIT problem never fails
+  // compilation. The shape is published together with the start, so a
+  // planner racing on the same new shape shares this compile.
+  codegen::JitCompileOptions Opts =
+      codegen::JitCompileOptions::resolve(M.Request.JitCacheDir);
+  auto Start = [&](exec::PlanShape &Shape) {
+    Shape.Kernel = codegen::startCompile(Shape, std::move(Opts));
+  };
+  if (M.Request.Shapes)
+    M.Plan->Shape =
+        M.Request.Shapes->insert(M.Draft->key(/*Jit=*/true), M.Draft, Start);
+  else
+    Start(*M.Draft);
   if (S.active())
-    S.arg("compiled", M.Draft->Kernel != nullptr);
+    S.arg("kernel", M.Plan->Shape == M.Draft ? "started" : "shared");
   return true;
 }
 
@@ -410,9 +420,10 @@ exec::buildPlan(const solver::RecurrenceSpec &Rec,
                      : compiler::planningPipeline());
   if (!Pipeline.run(M))
     return std::nullopt;
-  // A freshly built shape is complete (nest and kernel) only now, so it
-  // is published to the cache here, never half-built.
+  // A freshly built shape is published once every pass ran, never
+  // half-built; the jit pass already published its shape together with
+  // the start of the kernel's compile, which no planner waits for.
   if (Req.Shapes && M.Plan->Shape == M.Draft)
-    Req.Shapes->insert(M.Draft->key(Req.Jit), M.Draft);
+    M.Plan->Shape = Req.Shapes->insert(M.Draft->key(Req.Jit), M.Draft);
   return std::move(M.Plan);
 }

@@ -82,8 +82,9 @@ struct CompilationModule {
   /// the schedule and sliding_window the window decision into Draft;
   /// loopgen publishes the plan's shape — a ShapeCache hit, or Draft
   /// with its parametric nest — and finalize derives the per-box
-  /// partition range. The jit pass compiles Draft's kernel and is
-  /// skipped when the shape came from the cache.
+  /// partition range. The jit pass publishes Draft and starts its
+  /// kernel's compile, which it does not wait for; it is skipped when
+  /// the shape came from the cache.
   std::optional<exec::ExecutablePlan> Plan;
   std::shared_ptr<exec::PlanShape> Draft;
 

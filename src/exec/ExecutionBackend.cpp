@@ -26,8 +26,10 @@
 #include "obs/Trace.h"
 
 #include <algorithm>
+#include <chrono>
 #include <cstdlib>
 #include <cstring>
+#include <future>
 #include <limits>
 #include <mutex>
 #include <type_traits>
@@ -367,6 +369,27 @@ unsigned resolveScanWorkers(const ExecutablePlan &Plan,
   return Workers;
 }
 
+/// The shape's native kernel, waiting for its compile when that still
+/// runs; null when the shape has none or the compile fell back. Only a
+/// wait that blocks is recorded: the `exec.jit_wait` span and the
+/// `jit.wait_ns` histogram.
+const codegen::JitKernel *awaitKernel(const PlanShape &Shape) {
+  if (!Shape.Kernel.valid())
+    return nullptr;
+  if (Shape.Kernel.wait_for(std::chrono::seconds(0)) !=
+      std::future_status::ready) {
+    obs::Span WaitSpan("exec.jit_wait", "exec");
+    auto T0 = std::chrono::steady_clock::now();
+    Shape.Kernel.wait();
+    auto Ns = std::chrono::duration_cast<std::chrono::nanoseconds>(
+                  std::chrono::steady_clock::now() - T0)
+                  .count();
+    obs::MetricsRegistry::global().observe("jit.wait_ns",
+                                           static_cast<double>(Ns));
+  }
+  return Shape.Kernel.get().get();
+}
+
 /// Dispatches the scan over {bytecode VM, AST walker} x {sliding window,
 /// full table} x {serial, wavefront-parallel} and fills in the result
 /// summary. The VM runs whenever the plan carries a compiled program and
@@ -375,6 +398,17 @@ RunResult scanPlan(const ExecutablePlan &Plan, codegen::Evaluator &Eval,
                    const gpu::CostModel &Model, bool IsGpu,
                    unsigned Threads, const RunOptions &Options) {
   bool Trace = Options.Trace || obs::Tracer::enabled();
+  bool ForceAst =
+      envForcesAstEvaluator() || Options.Evaluator == EvalKind::Ast;
+  // Jit silently degrades to the VM when the plan carries no kernel:
+  // the compile already warned and counted the fallback.
+  const PlanShape &Shape = *Plan.Shape;
+  const codegen::JitKernel *Kernel =
+      !ForceAst && Options.Evaluator == EvalKind::Jit ? awaitKernel(Shape)
+                                                     : nullptr;
+  bool UseJit = Kernel != nullptr && Kernel->fn() != nullptr &&
+                Shape.Program != nullptr;
+  bool UseVm = !ForceAst && !UseJit && Shape.Program != nullptr;
 
   std::shared_ptr<DpTable> Table;
   {
@@ -393,15 +427,6 @@ RunResult scanPlan(const ExecutablePlan &Plan, codegen::Evaluator &Eval,
   Result.UsedSchedule = Plan.Shape->Sched;
   Result.TableMax = -std::numeric_limits<double>::infinity();
 
-  bool ForceAst =
-      envForcesAstEvaluator() || Options.Evaluator == EvalKind::Ast;
-  // Jit silently degrades to the VM when the plan carries no kernel:
-  // the jit pass already warned and counted the fallback at plan time.
-  const PlanShape &Shape = *Plan.Shape;
-  bool UseJit = !ForceAst && Options.Evaluator == EvalKind::Jit &&
-                Shape.Kernel != nullptr && Shape.Kernel->fn() != nullptr &&
-                Shape.Program != nullptr;
-  bool UseVm = !ForceAst && !UseJit && Shape.Program != nullptr;
   ScanStats Stats;
   Stats.Workers = resolveScanWorkers(Plan, Options, Threads);
   uint64_t Grain = std::max<uint64_t>(Options.ScanGrainCells, 1);
@@ -436,7 +461,7 @@ RunResult scanPlan(const ExecutablePlan &Plan, codegen::Evaluator &Eval,
     if (UseJit) {
       Drive([&] {
         JitScanner S;
-        S.Fn = Shape.Kernel->fn();
+        S.Fn = Kernel->fn();
         S.Args = JitBind.args();
         S.Args.Table = ConcreteTable.rawData();
         S.Args.Extents = Extents.data();

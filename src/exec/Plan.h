@@ -13,7 +13,8 @@
 /// (Section 4.8), the CLooG-style loop nest (Section 4.3) generated with
 /// the box as 2N parameters — parametric in the problem size exactly as
 /// the paper's Figure 9 nest is in m and n — and the compiled cell body
-/// (bytecode program and native kernel). One shape serves every box of a
+/// (bytecode program, and a handle to the native kernel, which arrives
+/// when its compile finishes). One shape serves every box of a
 /// (function, schedule, window, flags) combination.
 ///
 /// An ExecutablePlan is the cheap per-box half: the box, the parameter
@@ -21,7 +22,9 @@
 /// and the partition range. Plans are memoised per box in a PlanCache;
 /// a plan miss resolves the schedule for the new box and then reuses the
 /// shape from a ShapeCache, so loop generation and JIT compilation run
-/// once per shape, not once per sequence length.
+/// once per shape, not once per sequence length. A shape is published
+/// while its compile still runs: every later box of it shares that
+/// compile, and a scan that needs the kernel waits for it.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -33,6 +36,7 @@
 #include "solver/Recurrence.h"
 #include "support/Diagnostics.h"
 
+#include <future>
 #include <memory>
 #include <optional>
 #include <string>
@@ -104,13 +108,13 @@ struct PlanRequest {
   /// Cost model the autotuner scores candidates with; null means the
   /// default-constructed model. Never part of the PlanKey.
   const gpu::CostModel *CostModel = nullptr;
-  /// Run the native JIT pass after finalize: render the plan as C,
-  /// compile and attach the resolved kernel (RunOptions::Evaluator ==
-  /// Jit / `parrec run --evaluator=jit`).
+  /// Run the native JIT pass after finalize: start compiling the shape's
+  /// kernel and attach its handle (RunOptions::Evaluator == Jit /
+  /// `parrec run --evaluator=jit`).
   bool Jit = false;
   /// On-disk shared-object cache directory override for the JIT pass;
-  /// empty resolves to $ParRec_JIT_CACHE then ~/.cache/parrec-jit.
-  /// Never part of the PlanKey.
+  /// empty resolves to $ParRec_JIT_CACHE then ~/.cache/parrec-jit, on
+  /// the planning thread. Never part of the PlanKey.
   std::string JitCacheDir;
   /// The function's shape cache: a shape found here skips loop
   /// generation and the JIT; a newly built shape is added. Null builds
@@ -137,7 +141,8 @@ struct ShapeKeyHash {
 };
 
 /// The box-independent half of a plan, shared by every box planned with
-/// the same schedule and window decision. Immutable once published.
+/// the same schedule and window decision. Immutable once published; only
+/// the compile behind Kernel may still be running.
 struct PlanShape {
   solver::Schedule Sched;
   /// Sliding-window decision: when UseWindow is set the table keeps only
@@ -152,10 +157,13 @@ struct PlanShape {
   /// backend falls back to the AST evaluator. Compiled once per
   /// function and shared by all its shapes.
   std::shared_ptr<const codegen::BytecodeProgram> Program;
-  /// The natively jitted scan kernel (NativeJit.h); null when the jit
-  /// pass did not run or fell back. It reads every box-dependent value
-  /// from its run-time extents, so one kernel serves every box.
-  std::shared_ptr<const codegen::JitKernel> Kernel;
+  /// Handle to the natively jitted scan kernel (codegen::startCompile),
+  /// whose compile may still be running; invalid when the jit pass did
+  /// not run, and yielding null when the compile fell back. The kernel
+  /// reads every box-dependent value from its run-time extents, so one
+  /// kernel serves every box. The compile reads the members above, so
+  /// this one stays last: it is destroyed, and the compile joined, first.
+  std::shared_future<std::shared_ptr<const codegen::JitKernel>> Kernel;
 
   ShapeKey key(bool Jit) const {
     return {Sched.Coefficients, UseWindow, WindowDepth, Jit};
@@ -202,7 +210,8 @@ poly::Polyhedron boxDomain(const std::vector<std::string> &DimNames);
 
 /// Builds a plan for \p Box: resolves the schedule per \p Req, decides the
 /// sliding window, and takes the shape from Req.Shapes or builds it
-/// (parametric loop nest, optional JIT kernel). Reports diagnostics and
+/// (parametric loop nest, optional JIT kernel, whose compile it starts
+/// but does not wait for). Reports diagnostics and
 /// returns nullopt on failure (invalid forced schedule, no valid schedule,
 /// empty domain).
 std::optional<ExecutablePlan>

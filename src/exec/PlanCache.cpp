@@ -78,13 +78,20 @@ ShapeCache::lookup(const ShapeKey &Key) const {
   return It == Shapes.end() ? nullptr : It->second;
 }
 
-void ShapeCache::insert(const ShapeKey &Key,
-                        std::shared_ptr<const PlanShape> Shape) {
+std::shared_ptr<const PlanShape>
+ShapeCache::insert(const ShapeKey &Key, std::shared_ptr<PlanShape> Shape,
+                   const std::function<void(PlanShape &)> &OnPublish) {
   std::lock_guard<std::mutex> Lock(Mutex);
-  Shapes.emplace(Key, std::move(Shape));
+  if (auto It = Shapes.find(Key); It != Shapes.end())
+    return It->second;
+  if (OnPublish)
+    OnPublish(*Shape);
+  return Shapes.emplace(Key, std::move(Shape)).first->second;
 }
 
 void ShapeCache::clear() {
+  // Dropping a shape joins its compile: do it outside the lock.
+  decltype(Shapes) Dropped;
   std::lock_guard<std::mutex> Lock(Mutex);
-  Shapes.clear();
+  Dropped.swap(Shapes);
 }

@@ -23,6 +23,7 @@
 #include "exec/Plan.h"
 
 #include <cstdint>
+#include <functional>
 #include <list>
 #include <memory>
 #include <mutex>
@@ -93,8 +94,13 @@ public:
   /// The shape stored under \p Key, or null.
   std::shared_ptr<const PlanShape> lookup(const ShapeKey &Key) const;
 
-  /// Stores \p Shape under \p Key unless a shape is already there.
-  void insert(const ShapeKey &Key, std::shared_ptr<const PlanShape> Shape);
+  /// The shape stored under \p Key. When there is none, stores \p Shape,
+  /// first running \p OnPublish on it under the cache lock: planners
+  /// racing on one new shape agree on one shape, and OnPublish (the jit
+  /// pass starting the kernel's compile) runs once per shape.
+  std::shared_ptr<const PlanShape>
+  insert(const ShapeKey &Key, std::shared_ptr<PlanShape> Shape,
+         const std::function<void(PlanShape &)> &OnPublish = nullptr);
 
   void clear();
 

@@ -454,8 +454,9 @@ Future Engine::submit(Request Req,
 bool Engine::tryContinuousJoin(Pending &P) {
   if (!Opts.Coalesce || Opts.MaxBatch <= 1)
     return false;
-  // Plan before taking any lane lock: a new box of an unseen shape may
-  // compile a kernel. The plan stays on P if it opens its own batch.
+  // Plan before taking any lane lock: a new box may synthesise a
+  // schedule and generate loops. The plan stays on P if it opens its
+  // own batch.
   DiagnosticEngine Diags;
   if (!ensurePlanned(P, Diags))
     return false;
@@ -630,7 +631,9 @@ void Engine::coalescerMain() {
       // One plan per distinct box, shared by the members with that box.
       // A new box costs a schedule resolution; its loop nest and kernel
       // come from the function's shape cache after the first box of the
-      // shape, so loop generation and the JIT run once per shape.
+      // shape, so loop generation and the JIT run once per shape. The
+      // JIT compile runs off this thread: a device lane waits for it
+      // only when it scans the batch.
       std::vector<Pending> Planned;
       Planned.reserve(B.Members.size());
       for (Pending &P : B.Members) {

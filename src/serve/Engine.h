@@ -20,7 +20,10 @@
 /// batch is planned once; all boxes of a shape share one loop nest, one
 /// compiled bytecode program and one native kernel (the function's
 /// shape cache), and one modelled kernel launch covers the batch instead
-/// of one per request.
+/// of one per request. The coalescer never waits for a JIT compile:
+/// planning starts a new shape's compile on a thread of its own, and a
+/// device lane waits for the kernel only when it scans a batch whose
+/// compile is still running.
 ///
 /// Two serving-layer caches/short-circuits ride on top:
 ///  - Options::ContinuousBatch admits a request whose function and

@@ -36,6 +36,7 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <optional>
 #include <set>
 #include <sstream>
 #include <string>
@@ -685,7 +686,9 @@ TEST(MetricsTest, PassSpanAndMetricNamesMatchRegisteredPasses) {
 /// The jit pass follows the same naming law as every other pass — span
 /// "compile.jit", metric "compile.pass.jit.ns" — and the JIT machinery
 /// itself reports under the "jit." prefix (jit.cache_hits,
-/// jit.cache_misses, jit.fallbacks counters; jit.compile_ns duration).
+/// jit.cache_misses, jit.fallbacks counters; jit.compile_ns duration;
+/// the jit.compile span, on the compile's own thread, since the pass
+/// only starts the compile).
 TEST(MetricsTest, JitPassFollowsTheNamingLaw) {
   TracerSandbox Sandbox;
   Tracer::instance().enable();
@@ -703,10 +706,19 @@ TEST(MetricsTest, JitPassFollowsTheNamingLaw) {
   Tracer::instance().disable();
 
   EXPECT_TRUE(compiler::isKnownPass("jit"));
-  bool SawJitSpan = false;
-  for (const TraceEvent &E : Tracer::instance().hostEvents())
-    SawJitSpan |= E.Name == "compile.jit";
-  EXPECT_TRUE(SawJitSpan) << "no compile.jit span recorded";
+  std::optional<TraceEvent> Pass, Compile;
+  for (const TraceEvent &E : Tracer::instance().hostEvents()) {
+    if (E.Name == "compile.jit")
+      Pass = E;
+    else if (E.Name == "jit.compile")
+      Compile = E;
+  }
+  ASSERT_TRUE(Pass.has_value()) << "no compile.jit span recorded";
+  ASSERT_TRUE(Compile.has_value()) << "no jit.compile span recorded";
+  ASSERT_EQ(Pass->Args.size(), 1u);
+  EXPECT_EQ(Pass->Args[0].Key, "kernel");
+  EXPECT_EQ(Pass->Args[0].Json, "\"started\"");
+  EXPECT_NE(Pass->Lane, Compile->Lane);
 
   MetricsSnapshot After = MetricsRegistry::global().snapshot();
   EXPECT_NE(After.Distributions.find("compile.pass.jit.ns"),

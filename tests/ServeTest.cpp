@@ -20,6 +20,7 @@
 #include "bio/SubstitutionMatrix.h"
 #include "obs/Export.h"
 #include "obs/Json.h"
+#include "obs/Metrics.h"
 #include "obs/Trace.h"
 #include "runtime/CompiledRecurrence.h"
 #include "serve/Engine.h"
@@ -32,7 +33,9 @@
 #include <chrono>
 #include <condition_variable>
 #include <cstdio>
+#include <cstdlib>
 #include <deque>
+#include <filesystem>
 #include <fstream>
 #include <iterator>
 #include <map>
@@ -1550,4 +1553,301 @@ TEST(ServeWorkloadTest, ReplayReportsPerTenantLatencyPercentiles) {
     ASSERT_TRUE(Latency != nullptr) << Name;
     EXPECT_GT(Latency->numberOr("p99", 0.0), 0.0) << Name;
   }
+}
+
+//===----------------------------------------------------------------------===//
+// Native JIT compiles run off the coalescer
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+const char *DnaViterbiSource =
+    "prob viterbi(hmm h, state[h] s, seq[dna] x, index[x] i) =\n"
+    "  if i == 0 then\n"
+    "    if s.isstart then 1.0 else 0.0\n"
+    "  else\n"
+    "    (if s.isend then 1.0 else s.emission[x[i-1]]) *\n"
+    "    max(t in s.transitionsto : t.prob * viterbi(t.start, i - 1))\n";
+
+uint64_t counter(const char *Name) {
+  return obs::MetricsRegistry::global().snapshot().counter(Name);
+}
+
+/// A per-test scratch directory, emptied on construction.
+std::string freshDir(const std::string &Tag) {
+  std::string Dir = "/tmp/parrec-servetest-" + std::to_string(::getpid()) +
+                    "-" + Tag;
+  std::filesystem::remove_all(Dir);
+  return Dir;
+}
+
+/// A shell script installed as $CC, the JIT's host compiler, for the
+/// object's lifetime. A gated script drops one marker file per
+/// invocation, blocks until open() creates the gate file, then runs the
+/// real compiler; an ungated one fails every compile.
+class ScriptedCompiler {
+public:
+  ScriptedCompiler(const std::string &Tag, bool Gated) : Dir(freshDir(Tag)) {
+    std::filesystem::create_directories(Dir + "/markers");
+    if (const char *Cc = std::getenv("CC"); Cc && *Cc)
+      SavedCc = Cc;
+    std::string Script = Dir + "/cc";
+    {
+      std::ofstream Os(Script);
+      Os << "#!/bin/sh\n";
+      if (Gated)
+        Os << "touch '" << Dir << "/markers/'$$\n"
+           << "while [ ! -e '" << Dir << "/gate' ]; do sleep 0.01; done\n"
+           << "exec " << SavedCc.value_or("cc") << " \"$@\"\n";
+      else
+        Os << "exit 1\n";
+    }
+    std::filesystem::permissions(Script,
+                                 std::filesystem::perms::owner_all);
+    ::setenv("CC", Script.c_str(), 1);
+  }
+
+  ~ScriptedCompiler() {
+    open();
+    if (SavedCc)
+      ::setenv("CC", SavedCc->c_str(), 1);
+    else
+      ::unsetenv("CC");
+    std::filesystem::remove_all(Dir);
+  }
+
+  /// Compiler invocations so far.
+  size_t started() const {
+    auto It = std::filesystem::directory_iterator(Dir + "/markers");
+    return static_cast<size_t>(std::distance(It, {}));
+  }
+
+  /// Waits up to \p Timeout for \p N invocations.
+  bool waitForStarted(size_t N, std::chrono::seconds Timeout) const {
+    auto Deadline = std::chrono::steady_clock::now() + Timeout;
+    while (started() < N) {
+      if (std::chrono::steady_clock::now() > Deadline)
+        return false;
+      std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    }
+    return true;
+  }
+
+  /// Lets every waiting and later invocation run the real compiler.
+  void open() const { std::ofstream(Dir + "/gate").put('\n'); }
+
+private:
+  std::string Dir;
+  std::optional<std::string> SavedCc;
+};
+
+/// Two JIT requests of different lengths for each of three functions —
+/// Smith-Waterman, Viterbi and forward — so three kernel shapes, each
+/// on a fresh function with an empty shape cache.
+struct ThreeShapeProblems {
+  CompiledRecurrence Sw = compileOrDie(SwSource);
+  CompiledRecurrence Viterbi = compileOrDie(DnaViterbiSource);
+  CompiledRecurrence Forward = compileOrDie(DnaForwardSource);
+  bio::Hmm Genes = bio::makeGeneFinderModel();
+  std::deque<bio::Sequence> Seqs;
+  std::vector<const CompiledRecurrence *> Fns;
+  std::vector<std::vector<ArgValue>> Args;
+
+  ThreeShapeProblems() {
+    Seqs.push_back(bio::randomSequence(bio::Alphabet::protein(), 32,
+                                       /*Seed=*/0xC0DE, "query"));
+    const bio::Sequence *Query = &Seqs.back();
+    for (int64_t Length : {24, 45}) {
+      Seqs.push_back(bio::randomSequence(bio::Alphabet::protein(), Length,
+                                         400 + Length, "subject"));
+      Fns.push_back(&Sw);
+      Args.push_back({ArgValue::ofMatrix(&bio::SubstitutionMatrix::blosum62()),
+                      ArgValue::ofSeq(Query), ArgValue(),
+                      ArgValue::ofSeq(&Seqs.back()), ArgValue()});
+    }
+    for (const CompiledRecurrence *Hmm : {&Viterbi, &Forward})
+      for (size_t Length : {30u, 44u}) {
+        std::string Observed = Genes.sample(/*Seed=*/Length, Length);
+        Observed.resize(Length, 'a');
+        Seqs.emplace_back("x", std::move(Observed));
+        Fns.push_back(Hmm);
+        Args.push_back({ArgValue::ofHmm(&Genes), ArgValue(),
+                        ArgValue::ofSeq(&Seqs.back()), ArgValue()});
+      }
+  }
+
+  static RunOptions options(exec::EvalKind Evaluator,
+                            const std::string &CacheDir) {
+    RunOptions Opts;
+    Opts.Evaluator = Evaluator;
+    Opts.JitCacheDir = CacheDir;
+    return Opts;
+  }
+
+  /// Submits every problem as a JIT request to \p Engine.
+  std::vector<serve::Future> submitAll(serve::Engine &Engine,
+                                       const std::string &CacheDir) const {
+    std::vector<serve::Future> Futures;
+    for (size_t I = 0; I != Fns.size(); ++I) {
+      serve::Request Req;
+      Req.Fn = Fns[I];
+      Req.Args = Args[I];
+      Req.Options = options(exec::EvalKind::Jit, CacheDir);
+      Futures.push_back(Engine.submit(std::move(Req)));
+    }
+    return Futures;
+  }
+
+  /// Direct runGpuBatch results, one batch per function, in problem
+  /// order.
+  std::vector<RunResult> direct(const RunOptions &Opts) const {
+    std::vector<RunResult> Out(Fns.size());
+    gpu::Device Device;
+    for (const CompiledRecurrence *Fn : {&Sw, &Viterbi, &Forward}) {
+      std::vector<size_t> Members;
+      std::vector<std::vector<ArgValue>> Batch;
+      for (size_t I = 0; I != Fns.size(); ++I)
+        if (Fns[I] == Fn) {
+          Members.push_back(I);
+          Batch.push_back(Args[I]);
+        }
+      DiagnosticEngine Diags;
+      auto Result = Fn->runGpuBatch(Batch, Device, Diags, Opts);
+      EXPECT_TRUE(Result.has_value()) << Diags.str();
+      for (size_t K = 0; Result && K != Members.size(); ++K)
+        Out[Members[K]] = std::move(Result->Problems[K]);
+    }
+    return Out;
+  }
+};
+
+serve::Engine::Options pausedEngine(unsigned Devices) {
+  serve::Engine::Options Opts;
+  Opts.Devices = Devices;
+  Opts.StartPaused = true;
+  return Opts;
+}
+
+} // namespace
+
+TEST(ServeEngineTest, JitCompilesOverlapOffTheCoalescer) {
+  // The coalescer only starts each shape's compile, so with every
+  // compile held at the gate all three shapes' compilers are running at
+  // once. Once the gate opens, results are bit-identical to direct
+  // runGpuBatch and each shape compiled exactly once.
+  std::string CacheDir = freshDir("overlap-jit");
+  ScriptedCompiler Cc("overlap-cc", /*Gated=*/true);
+  ThreeShapeProblems P;
+  uint64_t MissesBefore = counter("jit.cache_misses");
+
+  serve::Engine Engine(pausedEngine(2));
+  std::vector<serve::Future> Futures = P.submitAll(Engine, CacheDir);
+  Engine.resume();
+  EXPECT_TRUE(Cc.waitForStarted(3, std::chrono::seconds(30)))
+      << "only " << Cc.started() << " of 3 compiles started before the "
+      << "first one finished";
+  Cc.open();
+  Engine.shutdown(serve::Engine::ShutdownMode::Drain);
+
+  // The direct runs plan after the engine is done, on the shapes (and
+  // kernels) the served requests built.
+  std::vector<RunResult> Direct =
+      P.direct(ThreeShapeProblems::options(exec::EvalKind::Jit, CacheDir));
+  for (size_t I = 0; I != Futures.size(); ++I) {
+    const serve::Response &Resp = Futures[I].wait();
+    ASSERT_EQ(Resp.St, serve::Status::Ok) << Resp.Error;
+    expectIdentical(Direct[I], Resp.Result);
+  }
+  EXPECT_EQ(counter("jit.cache_misses") - MissesBefore, 3u);
+  EXPECT_EQ(Cc.started(), 3u);
+  std::filesystem::remove_all(CacheDir);
+}
+
+TEST(ServeEngineTest, FailingJitCompilerServesVmResults) {
+  // A broken host compiler costs one fallback per shape, never a failed
+  // request: every served JIT request resolves Ok with the VM's result.
+  std::string CacheDir = freshDir("failing-jit");
+  ScriptedCompiler Cc("failing-cc", /*Gated=*/false);
+  ThreeShapeProblems P;
+  std::vector<RunResult> Vm =
+      P.direct(ThreeShapeProblems::options(exec::EvalKind::Vm, CacheDir));
+  uint64_t FallbacksBefore = counter("jit.fallbacks");
+
+  serve::Engine Engine(pausedEngine(2));
+  std::vector<serve::Future> Futures = P.submitAll(Engine, CacheDir);
+  Engine.shutdown(serve::Engine::ShutdownMode::Drain);
+  for (size_t I = 0; I != Futures.size(); ++I) {
+    const serve::Response &Resp = Futures[I].wait();
+    ASSERT_EQ(Resp.St, serve::Status::Ok) << Resp.Error;
+    expectIdentical(Vm[I], Resp.Result);
+  }
+  EXPECT_EQ(counter("jit.fallbacks") - FallbacksBefore, 3u);
+  EXPECT_EQ(Engine.stats().Failed, 0u);
+  std::filesystem::remove_all(CacheDir);
+}
+
+TEST(ServeEngineTest, CompileInFlightNeverOutlivesItsShape) {
+  // Abort with compiles held at the gate: shutdown returns once the gate
+  // opens, and every request resolves exactly once, Ok or Aborted.
+  {
+    std::string CacheDir = freshDir("abort-jit");
+    ScriptedCompiler Cc("abort-cc", /*Gated=*/true);
+    ThreeShapeProblems P;
+    serve::Engine Engine(pausedEngine(1));
+    std::vector<serve::Future> Futures = P.submitAll(Engine, CacheDir);
+    Engine.resume();
+    ASSERT_TRUE(Cc.waitForStarted(1, std::chrono::seconds(30)));
+    std::thread Aborter(
+        [&] { Engine.shutdown(serve::Engine::ShutdownMode::Abort); });
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    Cc.open();
+    Aborter.join();
+    for (serve::Future &F : Futures) {
+      ASSERT_TRUE(F.ready());
+      serve::Status St = F.wait().St;
+      EXPECT_TRUE(St == serve::Status::Ok || St == serve::Status::Aborted)
+          << F.wait().Error;
+    }
+    serve::Engine::Stats Stats = Engine.stats();
+    EXPECT_EQ(Stats.Completed + Stats.Aborted, Futures.size());
+    std::filesystem::remove_all(CacheDir);
+  }
+
+  // Planning returns while the compile runs, and destroying a function
+  // whose only shape is still compiling waits for the compile, which
+  // reads that shape.
+  std::string CacheDir = freshDir("destroy-jit");
+  ScriptedCompiler Cc("destroy-cc", /*Gated=*/true);
+  std::optional<DistinctLengthProblems> P(std::in_place);
+  std::atomic<bool> Planned{false};
+  std::thread Planner([&] {
+    DiagnosticEngine Diags;
+    auto Box = P->Sw.domainFor(P->Args[0], Diags);
+    EXPECT_TRUE(Box && P->Sw.planFor(*Box,
+                                     ThreeShapeProblems::options(
+                                         exec::EvalKind::Jit, CacheDir),
+                                     nullptr, Diags))
+        << Diags.str();
+    Planned = true;
+  });
+  ASSERT_TRUE(Cc.waitForStarted(1, std::chrono::seconds(30)));
+  for (int Poll = 0; !Planned && Poll != 3000; ++Poll)
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  if (!Planned) {
+    Cc.open();
+    Planner.join();
+    FAIL() << "planning waited for the compile";
+  }
+  Planner.join();
+  std::atomic<bool> Destroyed{false};
+  std::thread Destroyer([&] {
+    P.reset();
+    Destroyed = true;
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  EXPECT_FALSE(Destroyed) << "destroyed while its shape was compiling";
+  Cc.open();
+  Destroyer.join();
+  EXPECT_TRUE(Destroyed);
+  std::filesystem::remove_all(CacheDir);
 }
