@@ -128,7 +128,8 @@ CompiledRecurrence compileOrDie(const char *Source,
 }
 
 /// Asserts every observable of two runs — values, cell counts, cost
-/// events, simulated cycles — is bit-identical.
+/// events, simulated cycles and the GPU metrics (barrier, thread-sum and
+/// critical-path cycles) — is bit-identical.
 void expectRunsIdentical(const RunResult &Vm, const RunResult &Other,
                          const char *OtherName, const std::string &Where) {
   EXPECT_EQ(Vm.RootValue, Other.RootValue) << OtherName << Where;
@@ -144,6 +145,12 @@ void expectRunsIdentical(const RunResult &Vm, const RunResult &Other,
       << Other.Cost.ModelReads << ", " << Other.Cost.Transcendentals
       << "}";
   EXPECT_EQ(Vm.Cycles, Other.Cycles) << OtherName << Where;
+  EXPECT_TRUE(Vm.Metrics == Other.Metrics)
+      << "GPU metrics diverged" << Where << ": VM {"
+      << Vm.Metrics.BarrierCycles << ", " << Vm.Metrics.ThreadCycles << ", "
+      << Vm.Metrics.CriticalCycles << "} vs " << OtherName << " {"
+      << Other.Metrics.BarrierCycles << ", " << Other.Metrics.ThreadCycles
+      << ", " << Other.Metrics.CriticalCycles << "}";
 }
 
 /// Asserts two traced runs agree on the GPU metrics and, partition by
@@ -177,9 +184,12 @@ void expectTimelinesIdentical(const RunResult &Vm, const RunResult &Other,
 /// \p EveryScanMode the runs are also traced, adding the GPU metrics
 /// and the per-partition timeline to the observables, and repeated on
 /// one and four scan workers (one-cell grains force the fan-out).
+/// \p Threads is the simulated block width of the GPU runs (0: one per
+/// multiprocessor core).
 void expectEvaluatorsAgree(const CompiledRecurrence &Fn,
                            const std::vector<ArgValue> &Args,
-                           bool EveryScanMode = false) {
+                           bool EveryScanMode = false,
+                           unsigned Threads = 0) {
   // The whole point is to exercise the VM: the recursion must compile.
   ASSERT_NE(Fn.bytecode(), nullptr)
       << "recursion unexpectedly fell back to the AST evaluator";
@@ -197,6 +207,7 @@ void expectEvaluatorsAgree(const CompiledRecurrence &Fn,
       for (unsigned Workers : ScanWorkers) {
         RunOptions VmOpts;
         VmOpts.UseSlidingWindow = Window;
+        VmOpts.Threads = Threads;
         if (EveryScanMode) {
           VmOpts.Trace = true;
           VmOpts.ScanWorkers = Workers;
@@ -223,7 +234,7 @@ void expectEvaluatorsAgree(const CompiledRecurrence &Fn,
                             (Window ? "on" : "off") +
                             ", backend=" + (Gpu ? "gpu" : "cpu") +
                             ", scan-workers=" + std::to_string(Workers) +
-                            ")";
+                            ", threads=" + std::to_string(Threads) + ")";
         expectRunsIdentical(*Vm, *Ast, "AST", Where);
         expectRunsIdentical(*Vm, *Jit, "JIT", Where);
         if (EveryScanMode) {
@@ -434,6 +445,70 @@ TEST(DifferentialTest, WideNegativeIntTableEveryScanMode) {
     EXPECT_LT(Vm->RootValue, -0x1p53);
     EXPECT_GT(Vm->TableMax, 0x1p53);
   }
+}
+
+//===----------------------------------------------------------------------===//
+// Lockstep timing across block widths
+//===----------------------------------------------------------------------===//
+
+TEST(DifferentialTest, BlockWidthsEveryScanMode) {
+  // Gene-finder Viterbi partitions hold 12 cells (one per state); Smith-
+  // Waterman's are up to 24 wide. One thread, 5 and 12 threads, the
+  // default block and 64 threads cover partitions wider than, equal to
+  // and narrower than the block, with the root captured in flight when
+  // the window is on.
+  CompiledRecurrence Viterbi = compileOrDie(DnaViterbiSource);
+  bio::Hmm Genes = bio::makeGeneFinderModel();
+  ASSERT_EQ(Genes.numStates(), 12u);
+  bio::Sequence X("x", Genes.sample(/*Seed=*/5).substr(0, 40));
+  ASSERT_FALSE(X.data().empty());
+  std::vector<ArgValue> ViterbiArgs = {ArgValue::ofHmm(&Genes), ArgValue(),
+                                       ArgValue::ofSeq(&X), ArgValue()};
+
+  CompiledRecurrence Sw = compileOrDie(SmithWatermanSource);
+  const bio::SubstitutionMatrix M =
+      bio::SubstitutionMatrix::matchMismatch(bio::Alphabet::dna(), 2, 1);
+  const std::string &Letters = bio::Alphabet::dna().letters();
+  bio::Sequence A("a", randomString(Letters, 23, 41));
+  bio::Sequence B("b", randomString(Letters, 30, 43));
+  std::vector<ArgValue> SwArgs = {ArgValue::ofMatrix(&M), ArgValue::ofSeq(&A),
+                                  ArgValue(), ArgValue::ofSeq(&B),
+                                  ArgValue()};
+
+  for (unsigned Threads : {1u, 5u, 12u, 0u, 64u}) {
+    SCOPED_TRACE("threads=" + std::to_string(Threads));
+    expectEvaluatorsAgree(Viterbi, ViterbiArgs, /*EveryScanMode=*/true,
+                          Threads);
+    expectEvaluatorsAgree(Sw, SwArgs, /*EveryScanMode=*/true, Threads);
+  }
+}
+
+TEST(DifferentialTest, UnstripedNestEveryScanMode) {
+  // A one-dimensional recurrence: each partition is a single cell and
+  // the nest has no space loop to stripe, so every cell belongs to
+  // simulated thread 0 and the other threads idle.
+  CompiledRecurrence Fn = compileOrDie(
+      "int f(seq[dna] s, index[s] i) =\n"
+      "  if i == 0 then 0\n"
+      "  else f(i-1) + (if s[i-1] == 'a' then 3 else 0 - 1)\n");
+  bio::Sequence S("s", randomString(bio::Alphabet::dna().letters(), 37, 9));
+  std::vector<ArgValue> Args = {ArgValue::ofSeq(&S), ArgValue()};
+  for (unsigned Threads : {1u, 5u, 0u}) {
+    SCOPED_TRACE("threads=" + std::to_string(Threads));
+    expectEvaluatorsAgree(Fn, Args, /*EveryScanMode=*/true, Threads);
+  }
+
+  gpu::Device Dev;
+  DiagnosticEngine Diags;
+  RunOptions Traced;
+  Traced.Trace = true;
+  Traced.Evaluator = EvalKind::Jit;
+  Traced.JitCacheDir = jitCacheDirForTest();
+  auto Jit = Fn.runGpu(Args, Dev, Diags, Traced);
+  ASSERT_TRUE(Jit.has_value()) << Diags.str();
+  ASSERT_NE(Jit->Timeline, nullptr);
+  for (const gpu::PartitionSample &P : *Jit->Timeline)
+    EXPECT_EQ(P.ActiveThreads, P.Cells ? 1u : 0u) << "p" << P.Partition;
 }
 
 //===----------------------------------------------------------------------===//
