@@ -192,17 +192,17 @@ std::string intLit(int64_t V) {
 /// parameters over N dimensions.
 struct ExtentSlots {
   unsigned P, N;
-  unsigned firstPartition() const { return P; }
-  unsigned lastPartition() const { return P + 1; }
+  /// The partition holding the root point.
+  unsigned rootPartition() const { return P; }
   /// The box's minimum partition, the window's plane origin.
-  unsigned minPartition() const { return P + 2; }
+  unsigned minPartition() const { return P + 1; }
   /// Coordinate D of the root point, the box's upper corner.
-  unsigned root(unsigned D) const { return P + 3 + D; }
+  unsigned root(unsigned D) const { return P + 2 + D; }
   /// Table stride of dimension D; 0 for the dimension a window drops.
-  unsigned stride(unsigned D) const { return P + 3 + N + D; }
-  unsigned tableBase() const { return P + 3 + 2 * N; }
-  unsigned planeSize() const { return P + 4 + 2 * N; }
-  unsigned size() const { return P + 5 + 2 * N; }
+  unsigned stride(unsigned D) const { return P + 2 + N + D; }
+  unsigned tableBase() const { return P + 2 + 2 * N; }
+  unsigned planeSize() const { return P + 3 + 2 * N; }
+  unsigned size() const { return P + 4 + 2 * N; }
 };
 
 /// The dimension with stride 1 in exec::tableLayout when \p Dropped is
@@ -368,11 +368,15 @@ private:
     line("typedef struct { const pr_seq *seqs; const pr_matrix *matrices;");
     line("  const pr_hmm *hmms; const int64_t *int_args;");
     line("  const double *real_args; double *table;");
-    line("  uint64_t cyc_op, cyc_trans, cyc_table, cyc_model;");
+    line("  uint64_t cyc_op, cyc_trans, cyc_table, cyc_model, cyc_sync;");
     line("  const int64_t *extents; } pr_args;");
     line("typedef struct { uint64_t ops, table_reads, table_writes,");
     line("  model_reads, transcendentals, cells;");
-    line("  double table_max, root_value; uint64_t has_root; } pr_slot_t;");
+    line("  double table_max, root_value; uint64_t has_root;");
+    line("  uint64_t total, barrier, work_sum; } pr_slot_t;");
+    line("typedef struct { int64_t partition; uint64_t cells, max_cycles,");
+    line("  sum_cycles, barrier_cycles; uint32_t active, threads;");
+    line("} pr_sample;");
     line("typedef union { int64_t i; double d; } pr_reg;");
     line("");
     line("static inline int64_t pr_ceil_div(int64_t n, int64_t d) {");
@@ -425,10 +429,10 @@ private:
   }
 
   void emitKernel() {
-    line("void parrec_scan(const pr_args *a, int64_t p, uint32_t t_begin,");
-    line("                 uint32_t t_end, uint32_t n_threads,");
-    line("                 int32_t check_root, pr_slot_t *slot,");
-    line("                 uint64_t *thread_cycles) {");
+    line("void parrec_scan(const pr_args *a, int64_t p_lo, int64_t p_hi,");
+    line("                 uint32_t t_begin, uint32_t t_end,");
+    line("                 uint32_t n_threads, pr_slot_t *slot,");
+    line("                 uint64_t *thread_cycles, pr_sample *samples) {");
     ++Indent;
     // The extents, the table base and the cycle weights are copied into
     // locals once per call so the compiler keeps them in registers
@@ -436,6 +440,7 @@ private:
     line("const int64_t *ext = a->extents;");
     for (unsigned P = 0; P != Slots.P; ++P)
       line("const int64_t e%u = ext[%u];", P, P);
+    line("const int64_t root_p = ext[%u];", Slots.rootPartition());
     line("const int64_t min_p = ext[%u];", Slots.minPartition());
     for (unsigned D = 0; D != Slots.N; ++D)
       line("const uint64_t ts%u = (uint64_t)ext[%u];", D, Slots.stride(D));
@@ -446,22 +451,19 @@ private:
     line("double *const tab = a->table;");
     line("const uint64_t cyc_op = a->cyc_op, cyc_trans = a->cyc_trans;");
     line("const uint64_t cyc_table = a->cyc_table, cyc_model = a->cyc_model;");
+    line("const uint64_t cyc_sync = a->cyc_sync;");
     line("pr_reg r[%u];", Prog->NumRegs);
-    line("(void)n_threads;");
     line("(void)min_p;");
     line("(void)t_plane;");
-    line("if (p < ext[%u] || p > ext[%u])", Slots.firstPartition(),
-         Slots.lastPartition());
-    line("  return;");
-    line("const int64_t v0 = p;");
     // The slot's lanes live in locals for the whole call: a store through
     // slot-> inside the cell loop may alias the table or the arguments,
     // which would force reloads on every cell.
     line("uint64_t k_ops = 0, k_tr = 0, k_tw = 0, k_mr = 0, k_tc = 0;");
     line("uint64_t k_cells = 0, k_has_root = slot->has_root;");
+    line("uint64_t k_total = 0, k_barrier = 0, k_work = 0;");
     line("double k_max = slot->table_max, k_root = slot->root_value;");
     if (!Shape.UseWindow) {
-      emitThreadLoop();
+      emitPartitionLoop();
     } else {
       // Which unit-coefficient dimension the window drops depends on the
       // box (its stride is 0). One copy of the scan per candidate, picked
@@ -480,7 +482,7 @@ private:
         else
           line("%sif (ts%d == 0ULL) {", I ? "else " : "", Dropped);
         ++Indent;
-        emitThreadLoop();
+        emitPartitionLoop();
         --Indent;
         line("}");
       }
@@ -494,28 +496,55 @@ private:
     line("slot->table_max = k_max;");
     line("slot->root_value = k_root;");
     line("slot->has_root = k_has_root;");
+    line("slot->total += k_total;");
+    line("slot->barrier += k_barrier;");
+    line("slot->work_sum += k_work;");
     --Indent;
     line("}");
   }
 
-  /// The simulated-thread loop over one partition's nest.
-  void emitThreadLoop() {
+  /// Figure 10's time loop around the simulated-thread loop over one
+  /// partition's nest. Each partition closes as gpu::BlockTimer's
+  /// closePartition does: the block advances by its longest thread plus
+  /// the barrier.
+  void emitPartitionLoop() {
+    line("for (int64_t v0 = p_lo; v0 <= p_hi; ++v0) {");
+    ++Indent;
+    line("const int check_root = v0 == root_p;");
+    line("const uint64_t p_cells = k_cells;");
+    line("uint64_t p_max = 0, p_sum = 0;");
+    line("uint32_t p_active = 0;");
     line("for (uint32_t t = t_begin; t != t_end; ++t) {");
     ++Indent;
     line("uint64_t cyc = 0;");
-    bool Striped = Shape.Nest.threadedLevel().has_value();
-    if (!Striped) {
+    if (!Shape.Nest.threadedLevel()) {
       // No space loop to stripe: every point belongs to simulated
       // thread 0, exactly as forEachPointForThread assigns it.
-      line("if (t == 0u) {");
-      ++Indent;
+      line("if (t != 0u)");
+      line("  break;");
     }
     emitNestLevel(1);
-    if (!Striped) {
-      --Indent;
-      line("}");
-    }
-    line("thread_cycles[t] = cyc;");
+    line("if (thread_cycles)");
+    line("  thread_cycles[t] = cyc;");
+    line("if (cyc > p_max)");
+    line("  p_max = cyc;");
+    line("p_sum += cyc;");
+    line("p_active += cyc != 0u;");
+    --Indent;
+    line("}");
+    line("k_total += p_max + cyc_sync;");
+    line("k_barrier += cyc_sync;");
+    line("k_work += p_sum;");
+    line("if (samples) {");
+    line("  pr_sample *s = &samples[v0 - p_lo];");
+    line("  s->partition = v0;");
+    line("  s->cells = k_cells - p_cells;");
+    line("  s->max_cycles = p_max;");
+    line("  s->sum_cycles = p_sum;");
+    line("  s->barrier_cycles = cyc_sync;");
+    line("  s->active = p_active;");
+    line("  s->threads = n_threads;");
+    line("}");
     --Indent;
     line("}");
   }
@@ -589,12 +618,17 @@ private:
     bool ThisStriped = Shape.Nest.threadedLevel() &&
                        *Shape.Nest.threadedLevel() == L;
     // With one simulated thread the stripe start/step degenerate to
-    // lo/1, so the striped form is exact for every thread count.
-    if (ThisStriped)
+    // lo/1, so the striped form is exact for every thread count. Only
+    // fixed levels enclose the striped one inside the thread loop, so
+    // lo and hi do not depend on t: once a thread's stripe is empty,
+    // every later thread's is too, and the thread loop ends.
+    if (ThisStriped) {
+      line("if (lo%u + (int64_t)t > hi%u)", L, L);
+      line("  break;");
       line("for (int64_t v%u = lo%u + (int64_t)t; v%u <= hi%u; "
            "v%u += (int64_t)n_threads) {",
            L, L, L, L, L);
-    else
+    } else
       line("for (int64_t v%u = lo%u; v%u <= hi%u; ++v%u) {", L, L, L, L, L);
     ++Indent;
     emitNestLevel(L + 1);
@@ -1024,8 +1058,7 @@ std::vector<int64_t> codegen::kernelExtents(const exec::ExecutablePlan &Plan) {
   std::copy(Plan.Params.begin(), Plan.Params.end(), Ext.begin());
   for (unsigned D = 0; D != Slots.N; ++D)
     Ext[Slots.root(D)] = Box.Upper[D];
-  Ext[Slots.firstPartition()] = Plan.FirstPartition;
-  Ext[Slots.lastPartition()] = Plan.LastPartition;
+  Ext[Slots.rootPartition()] = Plan.RootPartition;
   int Dropped = Shape.UseWindow ? static_cast<int>(Plan.WindowDropDim) : -1;
   exec::TableLayout Layout = exec::tableLayout(Box, Dropped);
   // The kernel bakes this stride as 1.

@@ -20,15 +20,23 @@
 /// row-major layout's unit stride (a window kernel holds one copy of
 /// the scan per dimension the window may drop, picked once per call),
 /// the result conversion and the packed per-instruction cost deltas.
-/// Everything that depends on the box — loop bounds, partition range,
-/// root point, minimum partition and the table strides, base and plane
-/// size (stride 0 marks the dimension a window drops) — arrives at run
-/// time in JitArgs::Extents, built by kernelExtents(); the kernel copies
-/// it into locals on entry. Everything that varies per binding
+/// Everything that depends on the box — loop bounds, the root point and
+/// its partition, the minimum partition and the table strides, base and
+/// plane size (stride 0 marks the dimension a window drops) — arrives at
+/// run time in JitArgs::Extents, built by kernelExtents(); the kernel
+/// copies it into locals on entry. The caller passes the partition range
+/// to scan. Everything that varies per binding
 /// (sequences, matrices, the precomputed log-space HMM tables, scalar
 /// arguments, the table base pointer and the cost-model cycle weights)
 /// is passed through JitArgs too, exactly the contract the bytecode
 /// program already has.
+///
+/// Like the paper's Figure 10 kernel, the kernel owns the partition time
+/// loop: one call scans a range of partitions and folds each one's
+/// lockstep timing (longest thread, thread sum, active threads, barrier)
+/// itself, so a serial scan is a single call and the host never walks
+/// the simulated threads. The parallel scan calls the same entry once
+/// per (partition, thread-range) slice and reads per-thread cycles back.
 ///
 /// The emitted code replicates the bytecode VM operation-for-operation
 /// (one floating-point operation per emitted statement, compiled with
@@ -51,11 +59,14 @@
 
 #include "codegen/Bytecode.h"
 #include "codegen/Evaluator.h"
+#include "gpu/Device.h"
 
+#include <cstddef>
 #include <cstdint>
 #include <future>
 #include <memory>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 namespace parrec {
@@ -111,15 +122,19 @@ struct JitArgs {
   uint64_t CycTrans;
   uint64_t CycTable;
   uint64_t CycModel;
+  /// The barrier that closes each partition (0 on the serial CPU).
+  uint64_t CycSync;
   /// kernelExtents() of the plan being scanned.
   const int64_t *Extents;
 };
 
-/// Per-invocation outputs, folded into the caller's WorkerSlot: the wide
-/// cost lanes (table writes include the per-cell store), cell count,
-/// running table maximum and the root-cell capture. The kernel keeps
-/// these in locals while it scans and writes the slot once per call, on
-/// return; a call for a partition outside the box leaves it untouched.
+/// Per-invocation outputs, accumulated into by the kernel: the wide cost
+/// lanes (table writes include the per-cell store), cell count, running
+/// table maximum, the root-cell capture (in the root partition, which
+/// the extents carry) and the lockstep totals gpu::BlockTimer keeps —
+/// per partition, the block advances by its longest thread plus CycSync.
+/// The kernel keeps all of these in locals while it scans and writes the
+/// slot once per call, on return.
 struct JitSlot {
   uint64_t Ops;
   uint64_t TableReads;
@@ -130,16 +145,41 @@ struct JitSlot {
   double TableMax;
   double RootValue;
   uint64_t HasRoot;
+  /// Sum over partitions of the longest thread plus CycSync.
+  uint64_t Total;
+  /// CycSync once per partition.
+  uint64_t Barrier;
+  /// Every thread's cycles, summed.
+  uint64_t WorkSum;
 };
 
-/// The kernel entry point: scans partition \p P for simulated threads
+// The kernel writes timeline samples straight into gpu::PartitionSample
+// storage through a C struct of this layout.
+static_assert(std::is_standard_layout_v<gpu::PartitionSample> &&
+                  sizeof(unsigned) == 4 &&
+                  offsetof(gpu::PartitionSample, Cells) == 8 &&
+                  offsetof(gpu::PartitionSample, BarrierCycles) == 32 &&
+                  offsetof(gpu::PartitionSample, ActiveThreads) == 40 &&
+                  offsetof(gpu::PartitionSample, Threads) == 44 &&
+                  sizeof(gpu::PartitionSample) == 48,
+              "the emitted pr_sample no longer mirrors PartitionSample");
+
+/// The kernel entry point, Figure 10's time loop: scans partitions
+/// [PLo, PHi] (inside the box's range) for simulated threads
 /// [ThreadBegin, ThreadEnd) of a block of \p NumThreads, accumulating
-/// into \p Slot and writing each thread's modelled cycle total to
-/// \p ThreadCycles[t].
-using JitKernelFn = void (*)(const JitArgs *Args, int64_t P,
+/// into \p Slot. Per partition it folds the threads' modelled cycles as
+/// gpu::BlockTimer::closePartition would; the thread loop stops at the
+/// first thread whose striped loop is empty, since every later thread's
+/// is too. When non-null, \p ThreadCycles[t] receives the cycles of
+/// each thread the loop reached, in the last partition scanned (the
+/// parallel scan calls once per partition and thread range, zeroing the
+/// range first), and \p Samples[p - PLo] each partition's sample (a
+/// traced serial scan).
+using JitKernelFn = void (*)(const JitArgs *Args, int64_t PLo, int64_t PHi,
                              uint32_t ThreadBegin, uint32_t ThreadEnd,
-                             uint32_t NumThreads, int32_t CheckRoot,
-                             JitSlot *Slot, uint64_t *ThreadCycles);
+                             uint32_t NumThreads, JitSlot *Slot,
+                             uint64_t *ThreadCycles,
+                             gpu::PartitionSample *Samples);
 
 /// A resolved kernel holding its dlopen handle open for as long as any
 /// plan references it.

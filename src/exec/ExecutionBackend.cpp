@@ -160,10 +160,12 @@ struct CellScanner {
   EvalT Eval;
   poly::ScanContext Ctx;
 
-  void operator()(bool CheckRoot, unsigned Threads, unsigned Begin,
-                  unsigned End, int64_t P, gpu::BlockTimer &Timer,
-                  WorkerSlot &Slot) {
-    if (CheckRoot)
+  void operator()(unsigned Threads, unsigned Begin, unsigned End,
+                  int64_t P, gpu::BlockTimer &Timer, WorkerSlot &Slot) {
+    // A sliding window eventually overwrites the root cell's plane, so
+    // capture it in flight — but only within its own partition. With a
+    // full table the root survives and is read once after the scan.
+    if (Plan.Shape->UseWindow && P == Plan.RootPartition)
       scanThreadRange<true>(Plan, Ctx, Table, Model, IsGpu, TableInShared,
                             Threads, Begin, End, P, Timer, Slot, Eval);
     else
@@ -173,26 +175,28 @@ struct CellScanner {
   }
 };
 
-/// Scanner over the natively jitted kernel: one call covers the whole
-/// (partition, thread-range) slice — the kernel walks its shape's loop
-/// nest at the box's extents, writes the table through the same slot
-/// addressing as the table classes, accumulates
-/// the wide cost lanes and per-thread modelled cycles, and captures the
-/// running table max and the root cell. The fold below mirrors what
+/// Scanner over the natively jitted kernel: the kernel walks its shape's
+/// loop nest at the box's extents, writes the table through the same
+/// slot addressing as the table classes, accumulates the wide cost
+/// lanes, and captures the running table max and the root cell (in the
+/// root partition the extents carry). fold() mirrors what
 /// scanThreadRange accumulates per cell; one invocation per slot keeps
-/// the strict-`>`/first-wins merge semantics exact.
+/// the strict-`>`/first-wins merge semantics exact. The parallel scan
+/// calls it per (partition, thread-range) slice and charges the
+/// per-thread cycles it reads back; the serial scan hands it the whole
+/// run (see scanSerial).
 struct JitScanner {
   codegen::JitKernelFn Fn = nullptr;
   codegen::JitArgs Args{};
   std::vector<uint64_t> Cycles; // One slot per simulated thread.
 
-  void operator()(bool CheckRoot, unsigned Threads, unsigned Begin,
-                  unsigned End, int64_t P, gpu::BlockTimer &Timer,
-                  WorkerSlot &Slot) {
+  static codegen::JitSlot emptySlot() {
     codegen::JitSlot JS{};
     JS.TableMax = -std::numeric_limits<double>::infinity();
-    Fn(&Args, P, Begin, End, Threads, CheckRoot ? 1 : 0, &JS,
-       Cycles.data());
+    return JS;
+  }
+
+  static void fold(const codegen::JitSlot &JS, WorkerSlot &Slot) {
     Slot.Cost.Ops += JS.Ops;
     Slot.Cost.TableReads += JS.TableReads;
     Slot.Cost.TableWrites += JS.TableWrites;
@@ -205,6 +209,15 @@ struct JitScanner {
       Slot.RootValue = JS.RootValue;
       Slot.HasRoot = true;
     }
+  }
+
+  void operator()(unsigned Threads, unsigned Begin, unsigned End,
+                  int64_t P, gpu::BlockTimer &Timer, WorkerSlot &Slot) {
+    codegen::JitSlot JS = emptySlot();
+    // The kernel's thread loop may stop early; later threads are idle.
+    std::fill(Cycles.begin() + Begin, Cycles.begin() + End, 0);
+    Fn(&Args, P, P, Begin, End, Threads, &JS, Cycles.data(), nullptr);
+    fold(JS, Slot);
     for (unsigned T = Begin; T != End; ++T)
       if (Cycles[T])
         Timer.addThreadCycles(T, Cycles[T]);
@@ -228,28 +241,41 @@ void mergeSlot(const WorkerSlot &Slot, RunResult &Result,
 
 /// The serial partition-by-partition scan core (Figure 8's template),
 /// monomorphised over the concrete scanner (which fixes the table class
-/// and cell evaluator, or the jitted kernel) so the per-cell path has no
-/// virtual calls and no type-erased callback.
-template <typename MakeScannerT>
+/// and cell evaluator) so the per-cell path has no virtual calls and no
+/// type-erased callback.
+template <typename ScannerT>
 void scanSerial(const ExecutablePlan &Plan, uint64_t SyncCycles,
                 unsigned Threads, gpu::BlockTimer &Timer,
-                RunResult &Result, const MakeScannerT &MakeScanner) {
-  auto Scanner = MakeScanner();
+                RunResult &Result, ScannerT &Scanner) {
   WorkerSlot Slot;
-  double TableMax = -std::numeric_limits<double>::infinity();
   for (int64_t P = Plan.FirstPartition; P <= Plan.LastPartition; ++P) {
-    // A sliding window eventually overwrites the root cell's plane, so
-    // capture it in flight — but only within its own partition. With a
-    // full table the root survives and is read once after the scan.
     uint64_t PartitionCells = 0;
     Slot.reset();
-    Scanner(Plan.Shape->UseWindow && P == Plan.RootPartition, Threads, 0,
-            Threads, P, Timer, Slot);
-    mergeSlot(Slot, Result, TableMax, PartitionCells);
+    Scanner(Threads, 0, Threads, P, Timer, Slot);
+    mergeSlot(Slot, Result, Result.TableMax, PartitionCells);
     Result.Cells += PartitionCells;
     Timer.closePartition(SyncCycles, P, PartitionCells);
   }
-  Result.TableMax = TableMax;
+}
+
+/// The serial scan over the jitted kernel: one call scans every
+/// partition and closes each one's lockstep timing inside the kernel,
+/// so the host never walks the simulated threads. A traced run takes
+/// the kernel's per-partition samples as its timeline.
+void scanSerial(const ExecutablePlan &Plan, uint64_t SyncCycles,
+                unsigned Threads, gpu::BlockTimer &Timer,
+                RunResult &Result, JitScanner &Scanner) {
+  Scanner.Args.CycSync = SyncCycles;
+  std::vector<gpu::PartitionSample> Samples(
+      Timer.recording() ? static_cast<size_t>(Plan.numPartitions()) : 0);
+  codegen::JitSlot JS = JitScanner::emptySlot();
+  Scanner.Fn(&Scanner.Args, Plan.FirstPartition, Plan.LastPartition, 0,
+             Threads, Threads, &JS, nullptr,
+             Samples.empty() ? nullptr : Samples.data());
+  WorkerSlot Slot;
+  JitScanner::fold(JS, Slot);
+  mergeSlot(Slot, Result, Result.TableMax, Result.Cells);
+  Timer.addRun(JS.Total, JS.Barrier, JS.WorkSum, std::move(Samples));
 }
 
 /// The wavefront-parallel scan: the pool forks once for the whole run,
@@ -275,7 +301,6 @@ void scanParallel(const ExecutablePlan &Plan, uint64_t SyncCycles,
   // barrier, so no field needs to be atomic.
   struct {
     bool FanOut = false; // First partition seeds the estimate serially.
-    double TableMax = -std::numeric_limits<double>::infinity();
     uint64_t ForkJoins = 0;
     uint64_t SerialPartitions = 0;
   } Shared;
@@ -308,8 +333,7 @@ void scanParallel(const ExecutablePlan &Plan, uint64_t SyncCycles,
       Slot.reset();
       if (Begin != End) {
         try {
-          Scanner(Plan.Shape->UseWindow && P == Plan.RootPartition, Threads,
-                  Begin, End, P, Timer, Slot);
+          Scanner(Threads, Begin, End, P, Timer, Slot);
         } catch (...) {
           std::lock_guard<std::mutex> Lock(ErrorMutex);
           if (!FirstError)
@@ -321,7 +345,7 @@ void scanParallel(const ExecutablePlan &Plan, uint64_t SyncCycles,
       if (W == 0) {
         uint64_t PartitionCells = 0;
         for (const WorkerSlot &S : Slots)
-          mergeSlot(S, Result, Shared.TableMax, PartitionCells);
+          mergeSlot(S, Result, Result.TableMax, PartitionCells);
         Result.Cells += PartitionCells;
         // closePartition reads and resets every thread's cycle
         // accumulator, hence the second barrier below before any worker
@@ -339,17 +363,33 @@ void scanParallel(const ExecutablePlan &Plan, uint64_t SyncCycles,
     }
   });
 
-  Result.TableMax = Shared.TableMax;
   Stats.ForkJoins = Shared.ForkJoins;
   Stats.SerialPartitions = Shared.SerialPartitions;
   if (FirstError)
     std::rethrow_exception(FirstError);
 }
 
+/// The product of the box's extents, leaving out dimension \p Skip
+/// (none when out of range); saturates at the uint64_t maximum.
+uint64_t boxVolume(const solver::DomainBox &Box, unsigned Skip) {
+  uint64_t Volume = 1;
+  for (unsigned D = 0; D != Box.numDims(); ++D) {
+    if (D == Skip)
+      continue;
+    uint64_t Extent = static_cast<uint64_t>(Box.extent(D));
+    if (Extent && Volume > std::numeric_limits<uint64_t>::max() / Extent)
+      return std::numeric_limits<uint64_t>::max();
+    Volume *= Extent;
+  }
+  return Volume;
+}
+
 /// Resolves how many host workers this scan should use. 0 means the
 /// whole host budget (pre-divided by exec::BatchExecutor when nested in a
-/// batch). A worker must own at least one simulated thread, and domains
-/// too small to amortise thread start-up stay serial.
+/// batch). A worker must own at least one simulated thread; domains too
+/// small to amortise thread start-up stay serial, and so do domains
+/// whose partitions are all narrower than the grain, since scanParallel
+/// would run every one of them on worker 0 between two barriers.
 unsigned resolveScanWorkers(const ExecutablePlan &Plan,
                             const RunOptions &Options, unsigned Threads) {
   unsigned Workers =
@@ -357,15 +397,18 @@ unsigned resolveScanWorkers(const ExecutablePlan &Plan,
   Workers = std::min(Workers, Threads);
   if (Workers <= 1)
     return 1;
-  uint64_t Volume = 1;
-  for (unsigned D = 0; D != Plan.Box.numDims(); ++D) {
-    uint64_t Extent = static_cast<uint64_t>(Plan.Box.extent(D));
-    if (Extent && Volume > std::numeric_limits<uint64_t>::max() / Extent)
-      return Workers; // Saturated: certainly large enough.
-    Volume *= Extent;
-  }
-  if (Volume < 4 * std::max<uint64_t>(Options.ScanGrainCells, 1))
+  uint64_t Grain = std::max<uint64_t>(Options.ScanGrainCells, 1);
+  const solver::DomainBox &Box = Plan.Box;
+  uint64_t Volume = boxVolume(Box, Box.numDims());
+  if (Volume / 4 < Grain)
     return 1;
+  // Within a partition, every dimension with a nonzero schedule
+  // coefficient is fixed by the others, so no partition holds more
+  // cells than the box's volume without that dimension.
+  const std::vector<int64_t> &Coeffs = Plan.Shape->Sched.Coefficients;
+  for (unsigned D = 0; D != Box.numDims() && D != Coeffs.size(); ++D)
+    if (Coeffs[D] != 0 && boxVolume(Box, D) < Grain)
+      return 1;
   return Workers;
 }
 
@@ -409,6 +452,7 @@ RunResult scanPlan(const ExecutablePlan &Plan, codegen::Evaluator &Eval,
   bool UseJit = Kernel != nullptr && Kernel->fn() != nullptr &&
                 Shape.Program != nullptr;
   bool UseVm = !ForceAst && !UseJit && Shape.Program != nullptr;
+  const char *EvalName = UseJit ? "jit" : (UseVm ? "vm" : "ast");
 
   std::shared_ptr<DpTable> Table;
   {
@@ -443,7 +487,8 @@ RunResult scanPlan(const ExecutablePlan &Plan, codegen::Evaluator &Eval,
 
   auto Drive = [&](const auto &MakeScanner) {
     if (Stats.Workers <= 1) {
-      scanSerial(Plan, SyncCycles, Threads, Timer, Result, MakeScanner);
+      auto Scanner = MakeScanner();
+      scanSerial(Plan, SyncCycles, Threads, Timer, Result, Scanner);
       return;
     }
     obs::Span ForkSpan("exec.scan_fork", "exec");
@@ -498,10 +543,14 @@ RunResult scanPlan(const ExecutablePlan &Plan, codegen::Evaluator &Eval,
   };
   // Monomorphise on the concrete table class (both are final) so every
   // get/set in the hot loop devirtualises.
+  auto ScanStart = std::chrono::steady_clock::now();
   if (Shape.UseWindow)
     RunOn(static_cast<SlidingWindowTable &>(*Table));
   else
     RunOn(static_cast<FullTable &>(*Table));
+  auto ScanNs = std::chrono::duration_cast<std::chrono::nanoseconds>(
+                    std::chrono::steady_clock::now() - ScanStart)
+                    .count();
 
   if (!Shape.UseWindow)
     Result.RootValue = Table->get(Plan.Box.Upper.data());
@@ -533,7 +582,7 @@ RunResult scanPlan(const ExecutablePlan &Plan, codegen::Evaluator &Eval,
   if (RunSpan.active()) {
     RunSpan.arg("backend", IsGpu ? "simulated-gpu" : "serial-cpu");
     RunSpan.arg("vm", UseVm);
-    RunSpan.arg("evaluator", UseJit ? "jit" : (UseVm ? "vm" : "ast"));
+    RunSpan.arg("evaluator", EvalName);
     if (Options.FlowId != 0) {
       // Terminal hop of a served request's flow: the serve.enqueue ->
       // coalesce -> dispatch chain arrows end on this scan slice.
@@ -552,8 +601,13 @@ RunResult scanPlan(const ExecutablePlan &Plan, codegen::Evaluator &Eval,
   // Per-run (never per-cell) registry updates.
   obs::MetricsRegistry &M = obs::MetricsRegistry::global();
   M.add("exec.runs");
-  M.add("exec.runs_by_evaluator",
-        obs::Labels{{"evaluator", UseJit ? "jit" : (UseVm ? "vm" : "ast")}});
+  M.add("exec.runs_by_evaluator", obs::Labels{{"evaluator", EvalName}});
+  // Host time per modelled cycle: how fast each evaluator simulates the
+  // device, visible in the registry without a traced rerun.
+  if (Result.Cycles)
+    M.observe("exec.host_ns_per_cycle", obs::Labels{{"evaluator", EvalName}},
+              static_cast<double>(ScanNs) /
+                  static_cast<double>(Result.Cycles));
   M.add("exec.cells_computed", Result.Cells);
   M.add("exec.cycles", Result.Cycles);
   M.add("exec.partitions", static_cast<uint64_t>(Result.Partitions));

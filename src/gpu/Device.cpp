@@ -74,6 +74,20 @@ uint64_t BlockTimer::closePartition(uint64_t SyncCycles,
   return Advance;
 }
 
+void BlockTimer::addRun(uint64_t RunTotal, uint64_t RunBarrier,
+                        uint64_t RunWorkSum,
+                        std::vector<PartitionSample> Samples) {
+  Total += RunTotal;
+  Barrier += RunBarrier;
+  WorkSum += RunWorkSum;
+  if (!Recording)
+    return;
+  if (Timeline.empty())
+    Timeline = std::move(Samples);
+  else
+    Timeline.insert(Timeline.end(), Samples.begin(), Samples.end());
+}
+
 uint64_t
 Device::dispatchProblems(const std::vector<uint64_t> &ProblemCycles) const {
   if (ProblemCycles.empty())

@@ -126,6 +126,12 @@ public:
   uint64_t closePartition(uint64_t SyncCycles, int64_t Partition = 0,
                           uint64_t Cells = 0);
 
+  /// Adds a whole run whose partitions were closed elsewhere (the JIT
+  /// kernel folds each one as closePartition does): its advance, barrier
+  /// and thread-cycle totals, and its samples when recording.
+  void addRun(uint64_t RunTotal, uint64_t RunBarrier, uint64_t RunWorkSum,
+              std::vector<PartitionSample> Samples);
+
   uint64_t totalCycles() const { return Total; }
   /// Barrier cycles included in totalCycles().
   uint64_t barrierCycles() const { return Barrier; }

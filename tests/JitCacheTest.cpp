@@ -26,10 +26,12 @@
 
 #include <gtest/gtest.h>
 
+#include <cctype>
 #include <cstdlib>
 #include <deque>
 #include <filesystem>
 #include <fstream>
+#include <sstream>
 #include <thread>
 
 #include <unistd.h>
@@ -402,6 +404,52 @@ TEST(JitCacheTest, CellPathCallsNoLibmPerTermAndKeepsCountersLocal) {
       ASSERT_FALSE(ThreadLoops.empty());
       for (const std::string &Loop : ThreadLoops)
         EXPECT_EQ(Loop.find("slot->"), std::string::npos) << Loop;
+    }
+  }
+}
+
+TEST(JitCacheTest, KernelOwnsThePartitionLoop) {
+  // Figure 10's structure: every simulated-thread loop sits inside the
+  // kernel's partition time loop, and parrec_scan is the only function
+  // the translation unit exports (every helper is static), so no
+  // per-partition entry survives beside it.
+  SwProblems Sw({40});
+  bio::Hmm Genes = bio::makeGeneFinderModel();
+  bio::Sequence Dna = bio::randomSequence(bio::Alphabet::dna(), 30, 4, "x");
+  std::vector<ArgValue> ViterbiArgs = {ArgValue::ofHmm(&Genes), ArgValue(),
+                                       ArgValue::ofSeq(&Dna), ArgValue()};
+  const char *ViterbiSource =
+      "prob viterbi(hmm h, state[h] s, seq[dna] x, index[x] i) =\n"
+      "  if i == 0 then\n"
+      "    if s.isstart then 1.0 else 0.0\n"
+      "  else\n"
+      "    (if s.isend then 1.0 else s.emission[x[i-1]]) *\n"
+      "    max(t in s.transitionsto : t.prob * viterbi(t.start, i - 1))\n";
+  for (bool KeepTable : {false, true}) {
+    SCOPED_TRACE(KeepTable ? "full table" : "sliding window");
+    for (const std::string &Kernel :
+         {renderedKernel(SmithWatermanSource, Sw.Args[0], KeepTable),
+          renderedKernel(ViterbiSource, ViterbiArgs, KeepTable)}) {
+      ASSERT_FALSE(Kernel.empty());
+      const std::string ThreadLoop = "for (uint32_t t = t_begin;";
+      size_t Enclosed = 0;
+      for (const std::string &Loop :
+           blocksOpenedBy(Kernel, "for (int64_t v0 = p_lo; v0 <= p_hi;"))
+        Enclosed += blocksOpenedBy(Loop, ThreadLoop).size();
+      size_t ThreadLoops = blocksOpenedBy(Kernel, ThreadLoop).size();
+      EXPECT_GT(ThreadLoops, 0u);
+      EXPECT_EQ(Enclosed, ThreadLoops);
+
+      std::vector<std::string> Exported;
+      std::istringstream Lines(Kernel);
+      for (std::string Line; std::getline(Lines, Line);)
+        if (!Line.empty() &&
+            std::isalpha(static_cast<unsigned char>(Line[0])) &&
+            Line.rfind("static ", 0) != 0 && Line.rfind("typedef ", 0) != 0)
+          Exported.push_back(Line);
+      ASSERT_EQ(Exported.size(), 1u) << Exported.back();
+      EXPECT_EQ(Exported[0].rfind("void parrec_scan(", 0), 0u)
+          << Exported[0];
     }
   }
 }

@@ -409,6 +409,34 @@ TEST(MetricsTest, PlanCacheFeedsGlobalRegistry) {
             Before.counter("plan_cache.evictions") + 1);
 }
 
+TEST(MetricsTest, ScanRecordsHostNsPerCyclePerEvaluator) {
+  // One sample per scan, labelled by the evaluator that ran it: host
+  // nanoseconds per modelled cycle.
+  CompiledRecurrence Fn = compileOrDie(EditDistanceSource);
+  bio::Sequence S("s", "kitten"), T("t", "sitting");
+  gpu::Device Dev;
+  DiagnosticEngine Diags;
+  for (exec::EvalKind Kind : {exec::EvalKind::Vm, exec::EvalKind::Ast}) {
+    std::string Series =
+        Labels{{"evaluator", Kind == exec::EvalKind::Vm ? "vm" : "ast"}}
+            .render();
+    auto Count = [&] {
+      MetricsSnapshot Snap = MetricsRegistry::global().snapshot();
+      const Histogram *H = Snap.histogram("exec.host_ns_per_cycle", Series);
+      return H ? H->Count : 0;
+    };
+    uint64_t Before = Count();
+    exec::RunOptions Options;
+    Options.Evaluator = Kind;
+    ASSERT_TRUE(
+        Fn.runGpu(editDistanceArgs(S, T), Dev, Diags, Options).has_value())
+        << Diags.str();
+    EXPECT_EQ(Count(), Before + 1) << Series;
+    MetricsSnapshot Snap = MetricsRegistry::global().snapshot();
+    EXPECT_GT(Snap.histogram("exec.host_ns_per_cycle", Series)->Max, 0.0);
+  }
+}
+
 //===----------------------------------------------------------------------===//
 // Simulator profiling depth
 //===----------------------------------------------------------------------===//

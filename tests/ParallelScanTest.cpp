@@ -282,6 +282,60 @@ TEST(ParallelScanTest, SmallDomainsFallBackToSerial) {
   EXPECT_EQ(A.Cycles, B.Cycles);
 }
 
+TEST(ParallelScanTest, NarrowPartitionsNeverFork) {
+  // Gene-finder Viterbi holds one cell per state (12) in every
+  // partition, far below the default grain however long the sequence,
+  // so a 4-worker request resolves to one worker. A long Smith-
+  // Waterman's diagonals are hundreds of cells wide and still fork.
+  const char *ViterbiSource =
+      "prob viterbi(hmm h, state[h] s, seq[dna] x, index[x] i) =\n"
+      "  if i == 0 then\n"
+      "    if s.isstart then 1.0 else 0.0\n"
+      "  else\n"
+      "    (if s.isend then 1.0 else s.emission[x[i-1]]) *\n"
+      "    max(t in s.transitionsto : t.prob * viterbi(t.start, i - 1))\n";
+  CompiledRecurrence Viterbi = compileOrDie(ViterbiSource);
+  bio::Hmm Genes = bio::makeGeneFinderModel();
+  bio::Sequence X =
+      bio::randomSequence(bio::Alphabet::dna(), 20000, /*Seed=*/7, "x");
+  std::vector<ArgValue> Args = {ArgValue::ofHmm(&Genes), ArgValue(),
+                                ArgValue::ofSeq(&X), ArgValue()};
+  // The worker count one run resolves to, read back from the registry.
+  auto WorkersOf = [](const auto &Run) {
+    auto Sum = [] {
+      obs::MetricsSnapshot Snap = obs::MetricsRegistry::global().snapshot();
+      auto It = Snap.Distributions.find("exec.scan_workers");
+      return It == Snap.Distributions.end() ? 0.0 : It->second.Sum;
+    };
+    double Before = Sum();
+    Run();
+    return Sum() - Before;
+  };
+
+  RunOptions Four;
+  Four.ScanWorkers = 4;
+  RunOptions One;
+  One.ScanWorkers = 1;
+  gpu::Device Dev;
+  DiagnosticEngine Diags;
+  std::optional<RunResult> Narrow, Serial;
+  EXPECT_EQ(WorkersOf([&] {
+              Narrow = Viterbi.runGpu(Args, Dev, Diags, Four);
+            }),
+            1.0);
+  Serial = Viterbi.runGpu(Args, Dev, Diags, One);
+  ASSERT_TRUE(Narrow.has_value() && Serial.has_value()) << Diags.str();
+  expectBitIdentical(*Serial, *Narrow);
+
+  CompiledRecurrence Sw = compileOrDie(SmithWatermanSource);
+  RunResult Wide;
+  EXPECT_GT(WorkersOf([&] {
+              Wide = runSw(Sw, Four, /*OnCpu=*/false, 600, 700);
+            }),
+            1.0);
+  expectBitIdentical(runSw(Sw, One, /*OnCpu=*/false, 600, 700), Wide);
+}
+
 //===----------------------------------------------------------------------===//
 // Batch x scan nesting
 //===----------------------------------------------------------------------===//
