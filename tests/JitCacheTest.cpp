@@ -447,7 +447,8 @@ TEST(JitCacheTest, KernelOwnsThePartitionLoop) {
             std::isalpha(static_cast<unsigned char>(Line[0])) &&
             Line.rfind("static ", 0) != 0 && Line.rfind("typedef ", 0) != 0)
           Exported.push_back(Line);
-      ASSERT_EQ(Exported.size(), 1u) << Exported.back();
+      ASSERT_EQ(Exported.size(), 1u)
+          << (Exported.empty() ? "none" : Exported.back());
       EXPECT_EQ(Exported[0].rfind("void parrec_scan(", 0), 0u)
           << Exported[0];
     }
