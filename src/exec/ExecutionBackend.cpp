@@ -601,11 +601,12 @@ RunResult scanPlan(const ExecutablePlan &Plan, codegen::Evaluator &Eval,
   // Per-run (never per-cell) registry updates.
   obs::MetricsRegistry &M = obs::MetricsRegistry::global();
   M.add("exec.runs");
-  M.add("exec.runs_by_evaluator", obs::Labels{{"evaluator", EvalName}});
+  obs::Labels ByEvaluator{{"evaluator", EvalName}};
+  M.add("exec.runs_by_evaluator", ByEvaluator);
   // Host time per modelled cycle: how fast each evaluator simulates the
   // device, visible in the registry without a traced rerun.
   if (Result.Cycles)
-    M.observe("exec.host_ns_per_cycle", obs::Labels{{"evaluator", EvalName}},
+    M.observe("exec.host_ns_per_cycle", ByEvaluator,
               static_cast<double>(ScanNs) /
                   static_cast<double>(Result.Cycles));
   M.add("exec.cells_computed", Result.Cells);
