@@ -373,7 +373,7 @@ private:
     line("typedef struct { uint64_t ops, table_reads, table_writes,");
     line("  model_reads, transcendentals, cells;");
     line("  double table_max, root_value; uint64_t has_root;");
-    line("  uint64_t total, barrier, work_sum; } pr_slot_t;");
+    line("  uint64_t total, work_sum; } pr_slot_t;");
     line("typedef struct { int64_t partition; uint64_t cells, max_cycles,");
     line("  sum_cycles, barrier_cycles; uint32_t active, threads;");
     line("} pr_sample;");
@@ -460,7 +460,7 @@ private:
     // which would force reloads on every cell.
     line("uint64_t k_ops = 0, k_tr = 0, k_tw = 0, k_mr = 0, k_tc = 0;");
     line("uint64_t k_cells = 0, k_has_root = slot->has_root;");
-    line("uint64_t k_total = 0, k_barrier = 0, k_work = 0;");
+    line("uint64_t k_total = 0, k_work = 0;");
     line("double k_max = slot->table_max, k_root = slot->root_value;");
     if (!Shape.UseWindow) {
       emitPartitionLoop();
@@ -497,7 +497,6 @@ private:
     line("slot->root_value = k_root;");
     line("slot->has_root = k_has_root;");
     line("slot->total += k_total;");
-    line("slot->barrier += k_barrier;");
     line("slot->work_sum += k_work;");
     --Indent;
     line("}");
@@ -533,7 +532,6 @@ private:
     --Indent;
     line("}");
     line("k_total += p_max + cyc_sync;");
-    line("k_barrier += cyc_sync;");
     line("k_work += p_sum;");
     line("if (samples) {");
     line("  pr_sample *s = &samples[v0 - p_lo];");

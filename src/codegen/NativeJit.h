@@ -132,7 +132,8 @@ struct JitArgs {
 /// lanes (table writes include the per-cell store), cell count, running
 /// table maximum, the root-cell capture (in the root partition, which
 /// the extents carry) and the lockstep totals gpu::BlockTimer keeps —
-/// per partition, the block advances by its longest thread plus CycSync.
+/// per partition, the block advances by its longest thread plus CycSync
+/// (the barrier total, CycSync per partition, is the caller's product).
 /// The kernel keeps all of these in locals while it scans and writes the
 /// slot once per call, on return.
 struct JitSlot {
@@ -147,8 +148,6 @@ struct JitSlot {
   uint64_t HasRoot;
   /// Sum over partitions of the longest thread plus CycSync.
   uint64_t Total;
-  /// CycSync once per partition.
-  uint64_t Barrier;
   /// Every thread's cycles, summed.
   uint64_t WorkSum;
 };
@@ -158,6 +157,8 @@ struct JitSlot {
 static_assert(std::is_standard_layout_v<gpu::PartitionSample> &&
                   sizeof(unsigned) == 4 &&
                   offsetof(gpu::PartitionSample, Cells) == 8 &&
+                  offsetof(gpu::PartitionSample, MaxThreadCycles) == 16 &&
+                  offsetof(gpu::PartitionSample, SumThreadCycles) == 24 &&
                   offsetof(gpu::PartitionSample, BarrierCycles) == 32 &&
                   offsetof(gpu::PartitionSample, ActiveThreads) == 40 &&
                   offsetof(gpu::PartitionSample, Threads) == 44 &&

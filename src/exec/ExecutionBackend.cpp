@@ -275,7 +275,9 @@ void scanSerial(const ExecutablePlan &Plan, uint64_t SyncCycles,
   WorkerSlot Slot;
   JitScanner::fold(JS, Slot);
   mergeSlot(Slot, Result, Result.TableMax, Result.Cells);
-  Timer.addRun(JS.Total, JS.Barrier, JS.WorkSum, std::move(Samples));
+  Timer.addRun(JS.Total,
+               SyncCycles * static_cast<uint64_t>(Plan.numPartitions()),
+               JS.WorkSum, std::move(Samples));
 }
 
 /// The wavefront-parallel scan: the pool forks once for the whole run,
@@ -603,9 +605,11 @@ RunResult scanPlan(const ExecutablePlan &Plan, codegen::Evaluator &Eval,
   M.add("exec.runs");
   obs::Labels ByEvaluator{{"evaluator", EvalName}};
   M.add("exec.runs_by_evaluator", ByEvaluator);
-  // Host time per modelled cycle: how fast each evaluator simulates the
-  // device, visible in the registry without a traced rerun.
-  if (Result.Cycles)
+  // Host time per modelled device cycle: how fast each evaluator
+  // simulates the device, visible in the registry without a traced
+  // rerun. CPU-model cycles are another unit, so the CPU reference
+  // backend records no sample.
+  if (IsGpu && Result.Cycles)
     M.observe("exec.host_ns_per_cycle", ByEvaluator,
               static_cast<double>(ScanNs) /
                   static_cast<double>(Result.Cycles));

@@ -410,8 +410,9 @@ TEST(MetricsTest, PlanCacheFeedsGlobalRegistry) {
 }
 
 TEST(MetricsTest, ScanRecordsHostNsPerCyclePerEvaluator) {
-  // One sample per scan, labelled by the evaluator that ran it: host
-  // nanoseconds per modelled cycle.
+  // One sample per simulated-GPU scan, labelled by the evaluator that
+  // ran it: host nanoseconds per modelled device cycle. The CPU
+  // reference backend counts another unit and records nothing.
   CompiledRecurrence Fn = compileOrDie(EditDistanceSource);
   bio::Sequence S("s", "kitten"), T("t", "sitting");
   gpu::Device Dev;
@@ -434,6 +435,11 @@ TEST(MetricsTest, ScanRecordsHostNsPerCyclePerEvaluator) {
     EXPECT_EQ(Count(), Before + 1) << Series;
     MetricsSnapshot Snap = MetricsRegistry::global().snapshot();
     EXPECT_GT(Snap.histogram("exec.host_ns_per_cycle", Series)->Max, 0.0);
+    ASSERT_TRUE(Fn.runCpu(editDistanceArgs(S, T), Dev.costModel(), Diags,
+                          Options)
+                    .has_value())
+        << Diags.str();
+    EXPECT_EQ(Count(), Before + 1) << Series;
   }
 }
 
