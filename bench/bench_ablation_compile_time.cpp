@@ -16,7 +16,9 @@
 
 #include "BenchCommon.h"
 
-#include "codegen/CudaEmitter.h"
+#include "codegen/Bytecode.h"
+#include "codegen/NativeJit.h"
+#include "exec/Plan.h"
 #include "lang/Parser.h"
 #include "poly/LoopGen.h"
 
@@ -132,9 +134,17 @@ void BM_CudaEmission(benchmark::State &State) {
   DiagnosticEngine Diags;
   solver::DomainBox Box = solver::DomainBox::fromExtents(
       std::vector<int64_t>(A.Info.numDims(), 512));
-  auto S = solver::findMinimalSchedule(A.Info.Recurrence, Box, Diags);
+  exec::PlanRequest Req;
+  Req.Program = codegen::compileToBytecode(*A.Decl, A.Info);
+  auto Plan = exec::buildPlan(A.Info.Recurrence, A.Info.Recurrence.DimNames,
+                              Box, Req, Diags);
+  if (!Plan) {
+    State.SkipWithError(Diags.str().c_str());
+    return;
+  }
   for (auto _ : State) {
-    std::string Source = codegen::emitCudaKernel(*A.Decl, A.Info, *S);
+    std::string Source = codegen::renderKernelSource(
+        *Plan->Shape, codegen::KernelTarget::Cuda);
     benchmark::DoNotOptimize(Source.data());
   }
   State.SetLabel(Case.Name);

@@ -16,7 +16,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "bio/Fasta.h"
-#include "codegen/CudaEmitter.h"
+#include "codegen/NativeJit.h"
 #include "poly/CPrinter.h"
 #include "poly/LoopGen.h"
 #include "runtime/CompiledRecurrence.h"
@@ -103,10 +103,13 @@ int main() {
               Device.costModel().cpuSeconds(BigCpu->Cycles) /
                   Device.costModel().gpuSeconds(BigGpu->Cycles));
 
-  // 7. The synthesized CUDA kernel the paper's tool would hand to nvcc.
+  // 7. The synthesized CUDA kernel the paper's tool would hand to nvcc:
+  //    the body the native JIT runs on the host, under the CUDA prelude.
+  auto Plan = Compiled->planFor(*Box, runtime::RunOptions(),
+                                /*Preselected=*/nullptr, Diags);
   std::printf("-- synthesized CUDA --\n%s",
-              codegen::emitCudaKernel(Compiled->decl(), Compiled->info(),
-                                      *Schedule)
+              codegen::renderKernelSource(*Plan->Shape,
+                                          codegen::KernelTarget::Cuda)
                   .c_str());
   return 0;
 }

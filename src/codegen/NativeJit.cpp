@@ -15,6 +15,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cctype>
 #include <chrono>
 #include <cinttypes>
 #include <cmath>
@@ -212,12 +213,71 @@ int unitStrideDim(unsigned N, int Dropped) {
   return Last == Dropped ? Last - 1 : Last;
 }
 
-/// Renders one PlanShape as a self-contained C translation unit. The
-/// source depends on the shape alone: every box-dependent value is read
+/// True when \p Text reads the C identifier \p Name.
+bool readsIdent(const std::string &Text, const std::string &Name) {
+  auto IsIdent = [](char C) {
+    return std::isalnum(static_cast<unsigned char>(C)) || C == '_';
+  };
+  for (size_t At = Text.find(Name); At != std::string::npos;
+       At = Text.find(Name, At + 1))
+    if ((At == 0 || !IsIdent(Text[At - 1])) &&
+        (At + Name.size() == Text.size() || !IsIdent(Text[At + Name.size()])))
+      return true;
+  return false;
+}
+
+/// The macros the kernel body is written against, per target (DESIGN.md
+/// §10 tabulates them). The host expands them to the simulated block:
+/// threads run one after another, so the barrier is implicit and only
+/// its modelled cost is booked.
+const char HostPrelude[] =
+    "/* Generated by ParRec for the host: the simulated block, compiled by\n"
+    " * the native JIT. Bit-identical to the bytecode VM by construction:\n"
+    " * one FP op per statement, -ffp-contract=off, hexfloat immediates,\n"
+    " * LogSpace.h sequences emitted op-for-op. */\n"
+    "#include <math.h>\n"
+    "#include <stdint.h>\n"
+    "#define PR_DEVICE\n"
+    "#define PR_KERNEL\n"
+    "#define PR_SIM_ONLY\n"
+    "#define PR_THREAD_LOOP for (uint32_t t = t_begin; t != t_end; ++t)\n"
+    "#define PR_THREAD_END\n"
+    "#define PR_NTHREADS n_threads\n"
+    "#define PR_SYNC() ((void)0)\n"
+    "#define PR_COST(...) __VA_ARGS__\n"
+    "#define PR_MULHI(a, b) \\\n"
+    "  ((uint64_t)((unsigned __int128)(a) * (b) >> 64))\n";
+
+/// The CUDA target: one block of threads, Figure 10's kernel. The
+/// simulator's bookkeeping and its parameters compile away.
+const char CudaPrelude[] =
+    "/* Generated by ParRec for CUDA: Figure 10's kernel for one block of\n"
+    " * threads. The body below is the one the native JIT runs on the\n"
+    " * host; only these macros differ. */\n"
+    "#include <math.h>\n"
+    "#include <stdint.h>\n"
+    "#define PR_DEVICE __device__\n"
+    "#ifdef __cplusplus\n"
+    "#define PR_KERNEL extern \"C\" __global__\n"
+    "#else\n"
+    "#define PR_KERNEL __global__\n"
+    "#endif\n"
+    "#define PR_SIM_ONLY __attribute__((unused))\n"
+    "#define PR_THREAD_LOOP do { const uint32_t t = threadIdx.x;\n"
+    "#define PR_THREAD_END } while (0);\n"
+    "#define PR_NTHREADS blockDim.x\n"
+    "#define PR_SYNC() __syncthreads()\n"
+    "#define PR_COST(...)\n"
+    "#define PR_MULHI(a, b) __umul64hi(a, b)\n";
+
+/// Renders one PlanShape as a kernel body shared by every target. The
+/// body depends on the shape alone: every box-dependent value is read
 /// from the run-time extents. Every statement performs at most one
 /// floating-point operation (so -ffp-contract=off keeps the op sequence
 /// identical to the VM's), real immediates are hexfloat literals, and
-/// log-space helpers copy LogSpace.h operation-for-operation.
+/// log-space helpers copy LogSpace.h operation-for-operation. Only the
+/// extents and helpers the scan reads are emitted, so the source
+/// compiles warning-free.
 class CEmitter {
 public:
   explicit CEmitter(const exec::PlanShape &Shape)
@@ -230,8 +290,16 @@ public:
         Shape.Nest.Levels.size() != 1 + static_cast<size_t>(N) ||
         Shape.Sched.Coefficients.size() != N)
       return std::string();
-    emitPrelude();
-    emitKernel();
+    // The scan is rendered first: the declarations before it depend on
+    // what it reads.
+    Indent = 1;
+    emitScan();
+    std::string Scan;
+    std::swap(Scan, Out);
+    Indent = 0;
+    emitTypes();
+    emitHelpers(Scan);
+    emitKernel(Scan);
     return Failed ? std::string() : Out;
   }
 
@@ -239,7 +307,7 @@ private:
   const exec::PlanShape &Shape;
   const BytecodeProgram *Prog;
   ExtentSlots Slots;
-  /// The dimension the scan being emitted assumes a window drops.
+  /// The dimension the thread loop being emitted assumes a window drops.
   int Dropped = -1;
   std::string Out;
   int Indent = 0;
@@ -257,6 +325,16 @@ private:
     Out.append(static_cast<size_t>(Indent) * 2, ' ');
     Out += Buf;
     Out += '\n';
+  }
+
+  /// Opens and closes a multi-line PR_COST block.
+  void openCost() {
+    line("PR_COST(");
+    ++Indent;
+  }
+  void closeCost() {
+    --Indent;
+    line(")");
   }
 
   std::string realLit(double V) {
@@ -347,15 +425,7 @@ private:
     return S;
   }
 
-  void emitPrelude() {
-    line("/* Generated by ParRec NativeJit: one plan shape, every box of");
-    line(" * it (bounds, partitions and table layout come from the");
-    line(" * run-time extents). Bit-identical to the bytecode VM by");
-    line(" * construction: one FP op per statement, -ffp-contract=off,");
-    line(" * hexfloat immediates, LogSpace.h sequences emitted op-for-op. */");
-    line("#include <math.h>");
-    line("#include <stdint.h>");
-    line("");
+  void emitTypes() {
     line("typedef struct { const char *data; int64_t len; } pr_seq;");
     line("typedef struct { const int64_t *scores; const int64_t *char_idx;");
     line("  int64_t size; int64_t default_score; } pr_matrix;");
@@ -378,36 +448,46 @@ private:
     line("  sum_cycles, barrier_cycles; uint32_t active, threads;");
     line("} pr_sample;");
     line("typedef union { int64_t i; double d; } pr_reg;");
-    line("");
-    line("static inline int64_t pr_ceil_div(int64_t n, int64_t d) {");
-    line("  int64_t q = n / d;");
-    line("  if (n %% d != 0 && n > 0)");
-    line("    ++q;");
-    line("  return q;");
-    line("}");
-    line("static inline int64_t pr_floor_div(int64_t n, int64_t d) {");
-    line("  int64_t q = n / d;");
-    line("  if (n %% d != 0 && n < 0)");
-    line("    --q;");
-    line("  return q;");
-    line("}");
-    line("static double pr_tolog(double linear) {");
-    line("  return linear <= 0.0 ? -INFINITY : log(linear);");
-    line("}");
-    line("static double pr_logaddexp(double la, double lb) {");
-    line("  if (la == -INFINITY)");
-    line("    return lb;");
-    line("  if (lb == -INFINITY)");
-    line("    return la;");
-    line("  {");
-    line("    double hi = la > lb ? la : lb;");
-    line("    double lo = la > lb ? lb : la;");
-    line("    return hi + log1p(exp(lo - hi));");
-    line("  }");
-    line("}");
-    if (Shape.UseWindow)
+  }
+
+  /// The helpers \p Scan calls, and only those.
+  void emitHelpers(const std::string &Scan) {
+    if (readsIdent(Scan, "pr_ceil_div")) {
+      line("static PR_DEVICE inline int64_t pr_ceil_div(int64_t n, int64_t d) {");
+      line("  int64_t q = n / d;");
+      line("  if (n %% d != 0 && n > 0)");
+      line("    ++q;");
+      line("  return q;");
+      line("}");
+    }
+    if (readsIdent(Scan, "pr_floor_div")) {
+      line("static PR_DEVICE inline int64_t pr_floor_div(int64_t n, int64_t d) {");
+      line("  int64_t q = n / d;");
+      line("  if (n %% d != 0 && n < 0)");
+      line("    --q;");
+      line("  return q;");
+      line("}");
+    }
+    if (readsIdent(Scan, "pr_tolog")) {
+      line("static PR_DEVICE double pr_tolog(double linear) {");
+      line("  return linear <= 0.0 ? -INFINITY : log(linear);");
+      line("}");
+    }
+    if (readsIdent(Scan, "pr_logaddexp")) {
+      line("static PR_DEVICE double pr_logaddexp(double la, double lb) {");
+      line("  if (la == -INFINITY)");
+      line("    return lb;");
+      line("  if (lb == -INFINITY)");
+      line("    return la;");
+      line("  {");
+      line("    double hi = la > lb ? la : lb;");
+      line("    double lo = la > lb ? lb : la;");
+      line("    return hi + log1p(exp(lo - hi));");
+      line("  }");
+      line("}");
+    }
+    if (readsIdent(Scan, "pr_wslot"))
       emitWindowSlot();
-    line("");
   }
 
   /// pr_wslot: SlidingWindowTable::slot's ring-plane lookup (Lemire
@@ -416,77 +496,63 @@ private:
   void emitWindowSlot() {
     uint64_t NumPlanes = static_cast<uint64_t>(Shape.WindowDepth) + 1;
     uint64_t ModMagic = std::numeric_limits<uint64_t>::max() / NumPlanes + 1;
-    line("static inline uint64_t pr_wslot(int64_t wp, uint64_t wi,");
+    line("static PR_DEVICE inline uint64_t pr_wslot(int64_t wp, uint64_t wi,");
     line("                                int64_t min_p, uint64_t plane,");
     line("                                uint64_t base) {");
     line("  uint64_t wx = (uint64_t)(wp - min_p);");
-    line("  uint64_t wplane = (uint64_t)(");
-    line("      (unsigned __int128)(%" PRIu64 "ULL * wx) * %" PRIu64
-         "ULL >> 64);",
+    line("  uint64_t wplane = PR_MULHI(%" PRIu64 "ULL * wx, %" PRIu64 "ULL);",
          ModMagic, NumPlanes);
     line("  return (wplane * plane - base) + wi;");
     line("}");
   }
 
-  void emitKernel() {
-    line("void parrec_scan(const pr_args *a, int64_t p_lo, int64_t p_hi,");
-    line("                 uint32_t t_begin, uint32_t t_end,");
-    line("                 uint32_t n_threads, pr_slot_t *slot,");
-    line("                 uint64_t *thread_cycles, pr_sample *samples) {");
+  void emitKernel(const std::string &Scan) {
+    line("PR_KERNEL void parrec_scan(const pr_args *a, int64_t p_lo,");
+    line("    int64_t p_hi, uint32_t t_begin PR_SIM_ONLY,");
+    line("    uint32_t t_end PR_SIM_ONLY, uint32_t n_threads PR_SIM_ONLY,");
+    line("    pr_slot_t *slot, uint64_t *thread_cycles PR_SIM_ONLY,");
+    line("    pr_sample *samples PR_SIM_ONLY) {");
     ++Indent;
-    // The extents, the table base and the cycle weights are copied into
-    // locals once per call so the compiler keeps them in registers
-    // through the whole scan.
+    // The extents the scan reads, the table base and the cycle weights
+    // are copied into locals once per call so the compiler keeps them
+    // in registers through the whole scan.
     line("const int64_t *ext = a->extents;");
     for (unsigned P = 0; P != Slots.P; ++P)
-      line("const int64_t e%u = ext[%u];", P, P);
+      if (readsIdent(Scan, indexedVar("e", P)))
+        line("const int64_t e%u = ext[%u];", P, P);
     line("const int64_t root_p = ext[%u];", Slots.rootPartition());
-    line("const int64_t min_p = ext[%u];", Slots.minPartition());
+    if (readsIdent(Scan, "min_p"))
+      line("const int64_t min_p = ext[%u];", Slots.minPartition());
     for (unsigned D = 0; D != Slots.N; ++D)
-      line("const uint64_t ts%u = (uint64_t)ext[%u];", D, Slots.stride(D));
-    line("const uint64_t t_base = (uint64_t)ext[%u];", Slots.tableBase());
-    line("const uint64_t t_plane = (uint64_t)ext[%u];", Slots.planeSize());
+      if (readsIdent(Scan, indexedVar("ts", D)))
+        line("const uint64_t ts%u = (uint64_t)ext[%u];", D, Slots.stride(D));
+    if (readsIdent(Scan, "t_base"))
+      line("const uint64_t t_base = (uint64_t)ext[%u];", Slots.tableBase());
+    if (readsIdent(Scan, "t_plane"))
+      line("const uint64_t t_plane = (uint64_t)ext[%u];", Slots.planeSize());
     for (unsigned D = 0; D != Slots.N; ++D)
       line("const int64_t root%u = ext[%u];", D, Slots.root(D));
     line("double *const tab = a->table;");
-    line("const uint64_t cyc_op = a->cyc_op, cyc_trans = a->cyc_trans;");
-    line("const uint64_t cyc_table = a->cyc_table, cyc_model = a->cyc_model;");
-    line("const uint64_t cyc_sync = a->cyc_sync;");
     line("pr_reg r[%u];", Prog->NumRegs);
-    line("(void)min_p;");
-    line("(void)t_plane;");
+    line("double k_root = 0.0;");
+    line("uint64_t k_has_root = 0;");
     // The slot's lanes live in locals for the whole call: a store through
     // slot-> inside the cell loop may alias the table or the arguments,
     // which would force reloads on every cell.
+    openCost();
+    line("const uint64_t cyc_op = a->cyc_op, cyc_trans = a->cyc_trans;");
+    line("const uint64_t cyc_table = a->cyc_table, cyc_model = a->cyc_model;");
+    line("const uint64_t cyc_sync = a->cyc_sync;");
     line("uint64_t k_ops = 0, k_tr = 0, k_tw = 0, k_mr = 0, k_tc = 0;");
-    line("uint64_t k_cells = 0, k_has_root = slot->has_root;");
-    line("uint64_t k_total = 0, k_work = 0;");
-    line("double k_max = slot->table_max, k_root = slot->root_value;");
-    if (!Shape.UseWindow) {
-      emitPartitionLoop();
-    } else {
-      // Which unit-coefficient dimension the window drops depends on the
-      // box (its stride is 0). One copy of the scan per candidate, picked
-      // once per call, keeps the table addressing free of run-time
-      // strides that are always 0 or 1.
-      std::vector<int> Candidates;
-      for (unsigned D = 0; D != Slots.N; ++D)
-        if (int64_t C = Shape.Sched.Coefficients[D]; C == 1 || C == -1)
-          Candidates.push_back(static_cast<int>(D));
-      if (Candidates.empty())
-        fail();
-      for (size_t I = 0; I != Candidates.size(); ++I) {
-        Dropped = Candidates[I];
-        if (I + 1 == Candidates.size())
-          line(I ? "else {" : "{");
-        else
-          line("%sif (ts%d == 0ULL) {", I ? "else " : "", Dropped);
-        ++Indent;
-        emitPartitionLoop();
-        --Indent;
-        line("}");
-      }
-    }
+    line("uint64_t k_cells = 0, k_total = 0, k_work = 0;");
+    line("double k_max = slot->table_max;");
+    closeCost();
+    Out += Scan;
+    line("if (k_has_root) {");
+    line("  slot->root_value = k_root;");
+    line("  slot->has_root = 1ULL;");
+    line("}");
+    openCost();
     line("slot->ops += k_ops;");
     line("slot->table_reads += k_tr;");
     line("slot->table_writes += k_tw;");
@@ -494,43 +560,56 @@ private:
     line("slot->transcendentals += k_tc;");
     line("slot->cells += k_cells;");
     line("slot->table_max = k_max;");
-    line("slot->root_value = k_root;");
-    line("slot->has_root = k_has_root;");
     line("slot->total += k_total;");
     line("slot->work_sum += k_work;");
+    closeCost();
     --Indent;
     line("}");
   }
 
-  /// Figure 10's time loop around the simulated-thread loop over one
-  /// partition's nest. Each partition closes as gpu::BlockTimer's
-  /// closePartition does: the block advances by its longest thread plus
-  /// the barrier.
+  void emitScan() {
+    if (!Shape.UseWindow) {
+      emitPartitionLoop();
+      return;
+    }
+    // Which unit-coefficient dimension the window drops depends on the
+    // box (its stride is 0). One copy of the scan per candidate, picked
+    // once per call, keeps the table addressing free of run-time strides
+    // that are always 0 or 1.
+    std::vector<int> Candidates;
+    for (unsigned D = 0; D != Slots.N; ++D)
+      if (int64_t C = Shape.Sched.Coefficients[D]; C == 1 || C == -1)
+        Candidates.push_back(static_cast<int>(D));
+    if (Candidates.empty())
+      fail();
+    for (size_t I = 0; I != Candidates.size(); ++I) {
+      Dropped = Candidates[I];
+      if (I + 1 == Candidates.size())
+        line(I ? "else {" : "{");
+      else
+        line("%sif (ts%d == 0ULL) {", I ? "else " : "", Dropped);
+      ++Indent;
+      emitPartitionLoop();
+      --Indent;
+      line("}");
+    }
+  }
+
+  /// Figure 10's time loop: per partition, the simulated-thread loop over
+  /// the partition's nest, then the barrier. On the host each partition
+  /// closes as gpu::BlockTimer's closePartition does: the block advances
+  /// by its longest thread plus the barrier.
   void emitPartitionLoop() {
     line("for (int64_t v0 = p_lo; v0 <= p_hi; ++v0) {");
     ++Indent;
     line("const int check_root = v0 == root_p;");
+    openCost();
     line("const uint64_t p_cells = k_cells;");
     line("uint64_t p_max = 0, p_sum = 0;");
     line("uint32_t p_active = 0;");
-    line("for (uint32_t t = t_begin; t != t_end; ++t) {");
-    ++Indent;
-    line("uint64_t cyc = 0;");
-    if (!Shape.Nest.threadedLevel()) {
-      // No space loop to stripe: every point belongs to simulated
-      // thread 0, exactly as forEachPointForThread assigns it.
-      line("if (t != 0u)");
-      line("  break;");
-    }
-    emitNestLevel(1);
-    line("if (thread_cycles)");
-    line("  thread_cycles[t] = cyc;");
-    line("if (cyc > p_max)");
-    line("  p_max = cyc;");
-    line("p_sum += cyc;");
-    line("p_active += cyc != 0u;");
-    --Indent;
-    line("}");
+    closeCost();
+    emitThreadLoop();
+    openCost();
     line("k_total += p_max + cyc_sync;");
     line("k_work += p_sum;");
     line("if (samples) {");
@@ -543,8 +622,33 @@ private:
     line("  s->active = p_active;");
     line("  s->threads = n_threads;");
     line("}");
+    closeCost();
+    line("PR_SYNC();");
     --Indent;
     line("}");
+  }
+
+  void emitThreadLoop() {
+    line("PR_THREAD_LOOP {");
+    ++Indent;
+    line("PR_COST(uint64_t cyc = 0;)");
+    if (!Shape.Nest.threadedLevel()) {
+      // No space loop to stripe: every point belongs to simulated
+      // thread 0, exactly as forEachPointForThread assigns it.
+      line("if (t != 0u)");
+      line("  break;");
+    }
+    emitNestLevel(1);
+    openCost();
+    line("if (thread_cycles)");
+    line("  thread_cycles[t] = cyc;");
+    line("if (cyc > p_max)");
+    line("  p_max = cyc;");
+    line("p_sum += cyc;");
+    line("p_active += cyc != 0u;");
+    closeCost();
+    --Indent;
+    line("} PR_THREAD_END");
   }
 
   void emitNestLevel(unsigned L) {
@@ -624,7 +728,7 @@ private:
       line("if (lo%u + (int64_t)t > hi%u)", L, L);
       line("  break;");
       line("for (int64_t v%u = lo%u + (int64_t)t; v%u <= hi%u; "
-           "v%u += (int64_t)n_threads) {",
+           "v%u += (int64_t)PR_NTHREADS) {",
            L, L, L, L, L);
     } else
       line("for (int64_t v%u = lo%u; v%u <= hi%u; ++v%u) {", L, L, L, L, L);
@@ -639,7 +743,8 @@ private:
   void emitCell() {
     line("{");
     ++Indent;
-    line("uint64_t d_ops = 0, d_tr = 0, d_tw = 0, d_mr = 0, d_tc = 0;");
+    line("PR_COST(uint64_t d_ops = 0, d_tr = 0, d_tw = 0, d_mr = 0, "
+         "d_tc = 0;)");
     emitRange(0, static_cast<uint32_t>(Prog->Code.size()));
     const char *Conv = nullptr;
     switch (Prog->Conv) {
@@ -670,6 +775,7 @@ private:
       Point.push_back(indexedVar("v", 1 + D));
     line("double cv = %s;", ConvExpr.c_str());
     line("tab[%s] = cv;", addr(Point).c_str());
+    openCost();
     line("d_tw += 1ULL;"); // The cell's own store, as evalCell charges it.
     line("k_ops += d_ops;");
     line("k_tr += d_tr;");
@@ -681,6 +787,7 @@ private:
     line("k_cells += 1ULL;");
     line("if (cv > k_max)");
     line("  k_max = cv;");
+    closeCost();
     std::string RootCond = "check_root";
     for (unsigned D = 0; D != Slots.N; ++D)
       RootCond += " && " + Point[D] + " == root" + std::to_string(D);
@@ -719,7 +826,7 @@ private:
         ++Q;
       }
     }
-    line("uint64_t pk%d = 0;", Rid);
+    line("PR_COST(uint64_t pk%d = 0;)", Rid);
     for (uint32_t Q = Pc; Q < End && !Failed;) {
       if (Targets.count(Q))
         line("L%d_%u: ;", Rid, Q);
@@ -728,7 +835,7 @@ private:
       // executing it (jump targets included), so the charge precedes
       // the statement and follows the label.
       if (In.Cost)
-        line("pk%d += 0x%" PRIx64 "ULL;", Rid, In.Cost);
+        line("PR_COST(pk%d += 0x%" PRIx64 "ULL;)", Rid, In.Cost);
       if (In.Op == Opcode::Reduce) {
         emitReduce(In, Q);
         Q = Prog->Reduces[static_cast<size_t>(In.A)].BodyEnd;
@@ -739,10 +846,12 @@ private:
     }
     if (Targets.count(End))
       line("L%d_%u: ;", Rid, End);
+    openCost();
     line("d_ops += pk%d & 0xFFFFULL;", Rid);
     line("d_tr += (pk%d >> 16) & 0xFFFFULL;", Rid);
     line("d_mr += (pk%d >> 32) & 0xFFFFULL;", Rid);
     line("d_tc += pk%d >> 48;", Rid);
+    closeCost();
   }
 
   void emitReduce(const Instr &In, uint32_t Pc) {
@@ -794,15 +903,15 @@ private:
     line("}");
     // Acc.add(ElemCost): the wide per-element accumulation charge.
     if (Rd.ElemCost.Ops)
-      line("d_ops += %uULL;", Rd.ElemCost.Ops);
+      line("PR_COST(d_ops += %uULL;)", Rd.ElemCost.Ops);
     if (Rd.ElemCost.TableReads)
-      line("d_tr += %uULL;", Rd.ElemCost.TableReads);
+      line("PR_COST(d_tr += %uULL;)", Rd.ElemCost.TableReads);
     if (Rd.ElemCost.TableWrites)
-      line("d_tw += %uULL;", Rd.ElemCost.TableWrites);
+      line("PR_COST(d_tw += %uULL;)", Rd.ElemCost.TableWrites);
     if (Rd.ElemCost.ModelReads)
-      line("d_mr += %uULL;", Rd.ElemCost.ModelReads);
+      line("PR_COST(d_mr += %uULL;)", Rd.ElemCost.ModelReads);
     if (Rd.ElemCost.Transcendentals)
-      line("d_tc += %uULL;", Rd.ElemCost.Transcendentals);
+      line("PR_COST(d_tc += %uULL;)", Rd.ElemCost.Transcendentals);
     const char *Slot = IntAcc ? "i" : "d";
     switch (Rd.Kind) {
     case lang::ReductionKind::Sum:
@@ -1043,8 +1152,35 @@ private:
 
 } // namespace
 
-std::string codegen::renderKernelSource(const exec::PlanShape &Shape) {
-  return CEmitter(Shape).render();
+const char *codegen::kernelPrelude(KernelTarget Target) {
+  return Target == KernelTarget::Cuda ? CudaPrelude : HostPrelude;
+}
+
+std::string codegen::renderKernelSource(const exec::PlanShape &Shape,
+                                        KernelTarget Target) {
+  std::string Body = CEmitter(Shape).render();
+  return Body.empty() ? Body : kernelPrelude(Target) + Body;
+}
+
+const char *codegen::cudaLaunchStub() {
+  return "/* Host launch: d_args and everything it points to live in device\n"
+         " * memory (bindings, the table, kernelExtents()); p_lo..p_hi is the\n"
+         " * box's partition range. Returns 0 with the root cell in *root. */\n"
+         "#ifdef __CUDACC__\n"
+         "int parrec_launch(const pr_args *d_args, int64_t p_lo, int64_t p_hi,\n"
+         "                  uint32_t threads, double *root) {\n"
+         "  pr_slot_t slot = {0}, *d_slot = 0;\n"
+         "  if (cudaMalloc((void **)&d_slot, sizeof slot) != cudaSuccess)\n"
+         "    return -1;\n"
+         "  cudaMemcpy(d_slot, &slot, sizeof slot, cudaMemcpyHostToDevice);\n"
+         "  parrec_scan<<<1, threads>>>(d_args, p_lo, p_hi, 0u, threads, threads,\n"
+         "                              d_slot, 0, 0);\n"
+         "  cudaMemcpy(&slot, d_slot, sizeof slot, cudaMemcpyDeviceToHost);\n"
+         "  cudaFree(d_slot);\n"
+         "  *root = slot.root_value;\n"
+         "  return slot.has_root ? 0 : -1;\n"
+         "}\n"
+         "#endif\n";
 }
 
 std::vector<int64_t> codegen::kernelExtents(const exec::ExecutablePlan &Plan) {
@@ -1079,16 +1215,16 @@ namespace {
 
 std::atomic<uint64_t> WarningsPrinted{0};
 
-void warnOnce(const char *Reason) {
+void warnOnce(const std::string &Reason) {
   uint64_t Expected = 0;
   if (WarningsPrinted.compare_exchange_strong(Expected, 1))
     std::fprintf(stderr,
                  "parrec: warning: native jit unavailable (%s); "
                  "falling back to the bytecode VM\n",
-                 Reason);
+                 Reason.c_str());
 }
 
-std::shared_ptr<const JitKernel> fallBack(const char *Reason) {
+std::shared_ptr<const JitKernel> fallBack(const std::string &Reason) {
   warnOnce(Reason);
   obs::MetricsRegistry::global().add("jit.fallbacks");
   obs::MetricsRegistry::global().add("jit.cache_events",
@@ -1177,14 +1313,15 @@ codegen::compileKernel(const exec::PlanShape &Shape,
     std::filesystem::remove(SoPath, Ec);
   }
 
-  // Source and object both go to paths private to this compile and are
-  // renamed into place afterwards, so threads or processes compiling the
-  // same kernel into one directory never truncate a file another
-  // compiler is reading.
+  // Source, object and compiler log all go to paths private to this
+  // compile and are renamed into place afterwards, so threads or
+  // processes compiling the same kernel into one directory never
+  // truncate a file another compiler is reading.
   static std::atomic<uint64_t> TmpCounter{0};
   std::string Unique = "." + std::to_string(::getpid()) + "." +
                        std::to_string(TmpCounter.fetch_add(1));
   std::string CTmp = Stem + Unique + ".c";
+  std::string LogTmp = Stem + Unique + ".log";
   std::string Tmp = SoPath + Unique + ".tmp";
   {
     std::ofstream Os(CTmp, std::ios::trunc);
@@ -1197,23 +1334,30 @@ codegen::compileKernel(const exec::PlanShape &Shape,
 
   std::string Cmd = Opts.Cc +
                     " -O2 -shared -fPIC -ffp-contract=off -o '" + Tmp +
-                    "' '" + CTmp + "' -lm 2>/dev/null";
+                    "' '" + CTmp + "' -lm 2>'" + LogTmp + "'";
 
   auto T0 = std::chrono::steady_clock::now();
   int Status = std::system(Cmd.c_str());
   auto Ns = std::chrono::duration_cast<std::chrono::nanoseconds>(
                 std::chrono::steady_clock::now() - T0)
                 .count();
+  // Atomic publish so concurrent compiles of one shape race benignly;
+  // the source is kept beside the kernel for inspection, and beside the
+  // compiler's diagnostics when the compile failed.
+  auto Publish = [&Ec](const std::string &From, const std::string &To) {
+    std::filesystem::rename(From, To, Ec);
+    if (Ec)
+      std::filesystem::remove(From, Ec);
+  };
+  Publish(CTmp, Stem + ".c");
   if (Status != 0) {
     std::filesystem::remove(Tmp, Ec);
-    std::filesystem::remove(CTmp, Ec);
-    return fallBack("host C compiler failed or missing");
+    Publish(LogTmp, Stem + ".log");
+    return fallBack("host C compiler failed or missing; diagnostics in " +
+                    Stem + ".log");
   }
-  // Atomic publish so concurrent compiles of one shape race benignly;
-  // the source is kept beside the kernel for inspection.
-  std::filesystem::rename(CTmp, Stem + ".c", Ec);
-  if (Ec)
-    std::filesystem::remove(CTmp, Ec);
+  std::filesystem::remove(LogTmp, Ec);
+  std::filesystem::remove(Stem + ".log", Ec);
   if (std::rename(Tmp.c_str(), SoPath.c_str()) != 0) {
     std::filesystem::remove(Tmp, Ec);
     return fallBack("cannot publish the compiled kernel");

@@ -6,12 +6,19 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Run-time code generation for the host path, in the PyCUDA/PyOpenCL
-/// style: render one plan shape — its parametric partition loop nest,
-/// its sliding-window (or dense) table addressing, and its bytecode cell
-/// body — as a C translation unit, compile it with the system C compiler
-/// into a shared object, dlopen it, and dispatch the resolved kernel
-/// instead of interpreting bytecode.
+/// Run-time code generation in the PyCUDA/PyOpenCL style: render one plan
+/// shape — its parametric partition loop nest, its sliding-window (or
+/// dense) table addressing, and its bytecode cell body — as one kernel
+/// body, then specialise that body per target through a prelude of
+/// macros. The host target is compiled with the system C compiler into a
+/// shared object, dlopen()ed and dispatched instead of interpreting
+/// bytecode; the CUDA target is the Figure 10 kernel `parrec emit`
+/// prints. The two differ only where the macros do: the simulated-thread
+/// loop (PR_THREAD_LOOP/PR_THREAD_END, PR_NTHREADS), the barrier
+/// (PR_SYNC), the simulator's cost, cycle and timeline bookkeeping
+/// (PR_COST), the fastmod high multiply (PR_MULHI) and the qualifiers
+/// (PR_DEVICE, PR_KERNEL, PR_SIM_ONLY). So the CUDA text is the kernel the
+/// differential tests execute, not a second lowering.
 ///
 /// The source depends on the shape alone, so one kernel serves every box
 /// of a (function, schedule, window) shape. Baked into it: the schedule
@@ -24,8 +31,8 @@
 /// its partition, the minimum partition and the table strides, base and
 /// plane size (stride 0 marks the dimension a window drops) — arrives at
 /// run time in JitArgs::Extents, built by kernelExtents(); the kernel
-/// copies it into locals on entry. The caller passes the partition range
-/// to scan. Everything that varies per binding
+/// copies the extents it reads into locals on entry. The caller passes
+/// the partition range to scan. Everything that varies per binding
 /// (sequences, matrices, the precomputed log-space HMM tables, scalar
 /// arguments, the table base pointer and the cost-model cycle weights)
 /// is passed through JitArgs too, exactly the contract the bytecode
@@ -50,7 +57,9 @@
 /// kernels without invoking the compiler. Any failure — unsupported
 /// body shape, missing or broken host compiler, dlopen error — degrades
 /// to the bytecode VM with a single warning line and a `jit.fallbacks`
-/// metric; it is never an error.
+/// metric; it is never an error. A failed compile leaves its source and
+/// the compiler's diagnostics (k<hash>.c, k<hash>.log) in the cache
+/// directory, and the warning names the log.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -273,10 +282,31 @@ using KernelHandle = std::shared_future<std::shared_ptr<const JitKernel>>;
 KernelHandle startCompile(const exec::PlanShape &Shape,
                           JitCompileOptions Opts);
 
-/// Renders the C translation unit for \p Shape without compiling it.
-/// Returns an empty string when the shape is one the emitter does not
-/// support (callers fall back to the VM). Exposed for tests.
-std::string renderKernelSource(const exec::PlanShape &Shape);
+/// Which prelude specialises the kernel body.
+enum class KernelTarget {
+  /// The simulated block on the host: what compileKernel compiles.
+  Host,
+  /// A CUDA block: the text `parrec emit` prints.
+  Cuda,
+};
+
+/// The target's prelude: the includes and the macros the kernel body is
+/// written against. Shape-independent; every rendered source starts
+/// with it.
+const char *kernelPrelude(KernelTarget Target);
+
+/// Renders the translation unit for \p Shape without compiling it: the
+/// target's prelude followed by the kernel body, which is the same for
+/// every target. Returns an empty string when the shape is one the
+/// emitter does not support (callers fall back to the VM).
+std::string renderKernelSource(const exec::PlanShape &Shape,
+                               KernelTarget Target = KernelTarget::Host);
+
+/// A host-side launch of the CUDA-target kernel: one block scans every
+/// partition of one problem (Section 4.7 maps one problem per
+/// multiprocessor) and the root cell comes back through the slot. Every
+/// binding goes through pr_args, so the stub serves every function.
+const char *cudaLaunchStub();
 
 /// The run-time extents of \p Plan's box that the kernel of its shape
 /// reads (JitArgs::Extents).

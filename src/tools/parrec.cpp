@@ -11,7 +11,7 @@
 ///   parrec run --cpu <script.rdsl>   execute with the modelled CPU
 ///   parrec check <fn.rdsl>           parse + analyse one function
 ///   parrec schedule <fn.rdsl> n1 n2  print the minimal schedule for a box
-///   parrec emit <fn.rdsl> [n1 n2..]  print the synthesized CUDA source
+///   parrec emit <fn.rdsl>            print the synthesized CUDA kernel
 ///   parrec loops <fn.rdsl> n1 n2     print the Figure 9/10 loop nests
 ///   parrec serve --replay=<w.json>   replay a workload through the
 ///                                    serving engine and print throughput
@@ -30,8 +30,10 @@
 ///
 //===----------------------------------------------------------------------===//
 
-#include "codegen/CudaEmitter.h"
+#include "codegen/Bytecode.h"
+#include "codegen/NativeJit.h"
 #include "compiler/Pipeline.h"
+#include "exec/Plan.h"
 #include "lang/Parser.h"
 #include "obs/Export.h"
 #include "obs/Metrics.h"
@@ -422,7 +424,7 @@ int cmdSchedule(int Argc, char **Argv) {
 int cmdEmit(int Argc, char **Argv) {
   int Index = 2;
   DiagnosticEngine Diags;
-  std::optional<solver::Schedule> UserSchedule =
+  std::optional<solver::Schedule> S =
       parseScheduleOption(Argc, Argv, &Index);
   if (Index >= Argc)
     return usage();
@@ -431,45 +433,59 @@ int cmdEmit(int Argc, char **Argv) {
     std::fputs(Diags.str().c_str(), stderr);
     return 1;
   }
-  if (UserSchedule) {
+  const solver::RecurrenceSpec &Rec = Fn->Info->Recurrence;
+  // A nominal box: the kernel is parametric in the box, which only
+  // matters here when the minimal schedule has to be searched for.
+  solver::DomainBox Box = solver::DomainBox::fromExtents(
+      std::vector<int64_t>(Fn->Info->numDims(), 128));
+  if (S) {
     // Verify against the criteria before emitting (Section 4.5); with
     // uniform descents no box is needed.
-    if (!solver::verifySchedule(Fn->Info->Recurrence, *UserSchedule,
-                                std::nullopt, Diags)) {
+    if (!solver::verifySchedule(Rec, *S, std::nullopt, Diags)) {
       std::fputs(Diags.str().c_str(), stderr);
       return 1;
     }
-    std::printf("%s\n%s",
-                codegen::emitCudaKernel(*Fn->Decl, *Fn->Info,
-                                        *UserSchedule)
-                    .c_str(),
-                codegen::emitHostLaunchStub(*Fn->Decl, *Fn->Info)
-                    .c_str());
-    return 0;
+  } else {
+    // Conditional derivation needs no box; affine descents fall back to
+    // the minimal schedule of the nominal box.
+    if (Rec.allUniform()) {
+      auto Candidates = solver::findConditionalSchedules(Rec, Diags);
+      if (Candidates && !Candidates->empty())
+        S = (*Candidates)[0].S;
+    }
+    if (!S)
+      S = solver::findMinimalSchedule(Rec, Box, Diags);
   }
-  // Conditional derivation needs no box; fall back to a generic box for
-  // affine descents.
-  std::optional<solver::Schedule> S;
-  if (Fn->Info->Recurrence.allUniform()) {
-    auto Candidates =
-        solver::findConditionalSchedules(Fn->Info->Recurrence, Diags);
-    if (Candidates && !Candidates->empty())
-      S = (*Candidates)[0].S;
-  }
-  if (!S) {
-    std::vector<int64_t> Extents(Fn->Info->numDims(), 128);
-    S = solver::findMinimalSchedule(Fn->Info->Recurrence,
-                                    solver::DomainBox::fromExtents(
-                                        Extents),
-                                    Diags);
+  // Plan the shape `parrec run` executes under that schedule and print
+  // its kernel for the CUDA target.
+  std::optional<exec::ExecutablePlan> Plan;
+  if (S) {
+    std::vector<std::string> DimNames;
+    for (const lang::DimInfo &Dim : Fn->Info->Dims)
+      DimNames.push_back(Dim.Name);
+    exec::PlanRequest Req;
+    Req.PreselectedSchedule = &*S;
+    Req.Program = codegen::compileToBytecode(*Fn->Decl, *Fn->Info);
+    Plan = exec::buildPlan(Rec, DimNames, Box, Req, Diags);
   }
   std::fputs(Diags.str().c_str(), stderr);
-  if (!S)
+  if (!Plan)
     return 1;
-  std::printf("%s\n%s",
-              codegen::emitCudaKernel(*Fn->Decl, *Fn->Info, *S).c_str(),
-              codegen::emitHostLaunchStub(*Fn->Decl, *Fn->Info)
-                  .c_str());
+  std::string Kernel = codegen::renderKernelSource(
+      *Plan->Shape, codegen::KernelTarget::Cuda);
+  if (Kernel.empty()) {
+    std::fprintf(stderr,
+                 "error: '%s' has no kernel: its cell body or loop nest is "
+                 "outside what the kernel emitter lowers\n",
+                 Fn->Decl->Name.c_str());
+    return 1;
+  }
+  std::printf("/* Schedule: S_%s(%s) = %s; %s */\n%s\n%s",
+              Fn->Decl->Name.c_str(), joinStrings(Rec.DimNames, ", ").c_str(),
+              S->str(Rec.DimNames).c_str(),
+              Plan->Shape->UseWindow ? "sliding-window table"
+                                     : "full table",
+              Kernel.c_str(), codegen::cudaLaunchStub());
   return 0;
 }
 

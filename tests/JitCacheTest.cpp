@@ -31,6 +31,7 @@
 #include <deque>
 #include <filesystem>
 #include <fstream>
+#include <set>
 #include <sstream>
 #include <thread>
 
@@ -268,6 +269,19 @@ TEST(JitCacheTest, BogusCompilerFallsBackToVm) {
   EXPECT_GT(counter("jit.fallbacks"), FallbacksBefore);
   // Exactly one warning line per process, however many plans fall back.
   EXPECT_EQ(codegen::jitWarningsEmitted(), 1u);
+  // The failed compile leaves its source and the compiler's diagnostics
+  // side by side.
+  std::set<std::string> Stems;
+  for (const auto &Entry : std::filesystem::directory_iterator(Dir)) {
+    if (Entry.path().extension() != ".log")
+      continue;
+    EXPECT_GT(std::filesystem::file_size(Entry.path()), 0u);
+    std::filesystem::path Source = Entry.path();
+    EXPECT_TRUE(std::filesystem::exists(Source.replace_extension(".c")))
+        << Source;
+    Stems.insert(Entry.path().stem().string());
+  }
+  EXPECT_EQ(Stems.size(), 1u) << "no compiler log in " << Dir;
   std::string Dir2 = freshCacheDir("bogus2");
   ASSERT_EQ(::setenv("CC", "/nonexistent/bin/not-a-compiler", 1), 0);
   CompiledRecurrence Again = compileOrDie();
@@ -400,7 +414,7 @@ TEST(JitCacheTest, CellPathCallsNoLibmPerTermAndKeepsCountersLocal) {
 
     for (const std::string *Kernel : {&SwKernel, &ForwardKernel}) {
       std::vector<std::string> ThreadLoops =
-          blocksOpenedBy(*Kernel, "for (uint32_t t = t_begin;");
+          blocksOpenedBy(*Kernel, "PR_THREAD_LOOP {");
       ASSERT_FALSE(ThreadLoops.empty());
       for (const std::string &Loop : ThreadLoops)
         EXPECT_EQ(Loop.find("slot->"), std::string::npos) << Loop;
@@ -431,7 +445,7 @@ TEST(JitCacheTest, KernelOwnsThePartitionLoop) {
          {renderedKernel(SmithWatermanSource, Sw.Args[0], KeepTable),
           renderedKernel(ViterbiSource, ViterbiArgs, KeepTable)}) {
       ASSERT_FALSE(Kernel.empty());
-      const std::string ThreadLoop = "for (uint32_t t = t_begin;";
+      const std::string ThreadLoop = "PR_THREAD_LOOP {";
       size_t Enclosed = 0;
       for (const std::string &Loop :
            blocksOpenedBy(Kernel, "for (int64_t v0 = p_lo; v0 <= p_hi;"))
@@ -449,7 +463,7 @@ TEST(JitCacheTest, KernelOwnsThePartitionLoop) {
           Exported.push_back(Line);
       ASSERT_EQ(Exported.size(), 1u)
           << (Exported.empty() ? "none" : Exported.back());
-      EXPECT_EQ(Exported[0].rfind("void parrec_scan(", 0), 0u)
+      EXPECT_EQ(Exported[0].rfind("PR_KERNEL void parrec_scan(", 0), 0u)
           << Exported[0];
     }
   }
