@@ -567,39 +567,24 @@ private:
     line("}");
   }
 
-  void emitScan() {
-    if (!Shape.UseWindow) {
-      emitPartitionLoop();
-      return;
-    }
-    // Which unit-coefficient dimension the window drops depends on the
-    // box (its stride is 0). One copy of the scan per candidate, picked
-    // once per call, keeps the table addressing free of run-time strides
-    // that are always 0 or 1.
-    std::vector<int> Candidates;
-    for (unsigned D = 0; D != Slots.N; ++D)
-      if (int64_t C = Shape.Sched.Coefficients[D]; C == 1 || C == -1)
-        Candidates.push_back(static_cast<int>(D));
-    if (Candidates.empty())
-      fail();
-    for (size_t I = 0; I != Candidates.size(); ++I) {
-      Dropped = Candidates[I];
-      if (I + 1 == Candidates.size())
-        line(I ? "else {" : "{");
-      else
-        line("%sif (ts%d == 0ULL) {", I ? "else " : "", Dropped);
-      ++Indent;
-      emitPartitionLoop();
-      --Indent;
-      line("}");
-    }
-  }
-
   /// Figure 10's time loop: per partition, the simulated-thread loop over
   /// the partition's nest, then the barrier. On the host each partition
   /// closes as gpu::BlockTimer's closePartition does: the block advances
   /// by its longest thread plus the barrier.
-  void emitPartitionLoop() {
+  void emitScan() {
+    // Which unit-coefficient dimension a window drops depends on the box
+    // (its stride is 0). One copy of the thread loop per candidate keeps
+    // the table addressing free of run-time strides that are always 0 or
+    // 1; the copies share the time loop, its fold and its barrier.
+    std::vector<int> Drops{-1};
+    if (Shape.UseWindow) {
+      Drops.clear();
+      for (unsigned D = 0; D != Slots.N; ++D)
+        if (int64_t C = Shape.Sched.Coefficients[D]; C == 1 || C == -1)
+          Drops.push_back(static_cast<int>(D));
+      if (Drops.empty())
+        fail();
+    }
     line("for (int64_t v0 = p_lo; v0 <= p_hi; ++v0) {");
     ++Indent;
     line("const int check_root = v0 == root_p;");
@@ -608,7 +593,22 @@ private:
     line("uint64_t p_max = 0, p_sum = 0;");
     line("uint32_t p_active = 0;");
     closeCost();
-    emitThreadLoop();
+    for (size_t I = 0; I != Drops.size(); ++I) {
+      Dropped = Drops[I];
+      bool Branched = Drops.size() > 1;
+      if (Branched) {
+        if (I + 1 == Drops.size())
+          line("else {");
+        else
+          line("%sif (ts%d == 0ULL) {", I ? "else " : "", Dropped);
+        ++Indent;
+      }
+      emitThreadLoop();
+      if (Branched) {
+        --Indent;
+        line("}");
+      }
+    }
     openCost();
     line("k_total += p_max + cyc_sync;");
     line("k_work += p_sum;");

@@ -25,8 +25,9 @@
 /// coefficients, the nest's structure and divisors, the window's plane
 /// count (a function of the window depth) with its fastmod constant, the
 /// row-major layout's unit stride (a window kernel holds one copy of
-/// the scan per dimension the window may drop, picked once per call),
-/// the result conversion and the packed per-instruction cost deltas.
+/// the thread loop per dimension the window may drop, picked once per
+/// partition), the result conversion and the packed per-instruction cost
+/// deltas.
 /// Everything that depends on the box — loop bounds, the root point and
 /// its partition, the minimum partition and the table strides, base and
 /// plane size (stride 0 marks the dimension a window drops) — arrives at
