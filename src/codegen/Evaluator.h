@@ -9,9 +9,9 @@
 /// The cell evaluator: the typed AST of a recursion is executed directly
 /// over a runtime environment (bound calling arguments, the current
 /// recursion point, and a DP-table view for recursive lookups), counting
-/// abstract cost events as it goes. This plays the role the paper's
-/// nvcc-compiled kernels play on real hardware; the synthesized CUDA
-/// source itself is produced separately by CudaEmitter.
+/// abstract cost events as it goes. This is the oracle the bytecode VM
+/// and the native JIT kernel are checked against; the synthesized CUDA
+/// source is that JIT kernel's body under a CUDA prelude (NativeJit.h).
 ///
 /// Values of type `prob` are computed in log space (Section 3.2's
 /// motivation for a dedicated probability type): multiplication becomes
