@@ -460,13 +460,10 @@ int cmdEmit(int Argc, char **Argv) {
   // its kernel for the CUDA target.
   std::optional<exec::ExecutablePlan> Plan;
   if (S) {
-    std::vector<std::string> DimNames;
-    for (const lang::DimInfo &Dim : Fn->Info->Dims)
-      DimNames.push_back(Dim.Name);
     exec::PlanRequest Req;
     Req.PreselectedSchedule = &*S;
     Req.Program = codegen::compileToBytecode(*Fn->Decl, *Fn->Info);
-    Plan = exec::buildPlan(Rec, DimNames, Box, Req, Diags);
+    Plan = exec::buildPlan(Rec, Rec.DimNames, Box, Req, Diags);
   }
   std::fputs(Diags.str().c_str(), stderr);
   if (!Plan)

@@ -266,6 +266,15 @@ TEST(CudaEmitterTest, DeterministicOutput) {
   EXPECT_EQ(A, B);
 }
 
+TEST(CudaEmitterTest, UnlowerableBodyRendersNothing) {
+  // Branches of different kinds keep the body out of bytecode, so there
+  // is no kernel to print: `parrec emit` reports that and exits 1.
+  const char *Mixed = "float f(seq[en] s, index[s] i) =\n"
+                      "  if i == 0 then 0 else f(i-1) + 1.5\n";
+  EXPECT_EQ(render(Mixed, {5}, KernelTarget::Cuda), "");
+  EXPECT_EQ(render(Mixed, {5}, KernelTarget::Host), "");
+}
+
 TEST(CudaEmitterTest, OneBodyForHostAndCuda) {
   // The CUDA text is the executed kernel: after the preludes, the host
   // source (what compileKernel compiles and the differential tests run)
