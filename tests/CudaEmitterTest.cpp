@@ -255,8 +255,9 @@ TEST(CudaEmitterTest, HostLaunchStub) {
   EXPECT_TRUE(contains(Stub, "cudaMemcpy(&slot, d_slot, sizeof slot, "
                              "cudaMemcpyDeviceToHost);"));
   // Host-only CUDA syntax stays out of a plain C compile.
-  EXPECT_EQ(Stub.find("#ifdef __CUDACC__\n"), Stub.find("#ifdef"));
-  EXPECT_TRUE(contains(Stub, "#endif\n"));
+  ASSERT_TRUE(contains(Stub, "#ifdef __CUDACC__\n"));
+  EXPECT_LT(Stub.find("#ifdef __CUDACC__\n"), Stub.find("int parrec_launch("));
+  EXPECT_GT(Stub.rfind("#endif\n"), Stub.find("return slot.has_root"));
 }
 
 TEST(CudaEmitterTest, DeterministicOutput) {
@@ -311,10 +312,14 @@ TEST(CudaEmitterTest, EmittedSourceIsWarningFree) {
     SCOPED_TRACE(Tag);
     std::string HostPath = Dir + "/" + Tag + ".c";
     std::string CudaPath = Dir + "/" + Tag + ".cu";
-    std::ofstream(HostPath)
-        << render(C.Source, C.Extents, KernelTarget::Host, C.KeepTable);
-    std::ofstream(CudaPath)
-        << render(C.Source, C.Extents, KernelTarget::Cuda, C.KeepTable);
+    std::string Host =
+        render(C.Source, C.Extents, KernelTarget::Host, C.KeepTable);
+    std::string Cuda =
+        render(C.Source, C.Extents, KernelTarget::Cuda, C.KeepTable);
+    ASSERT_FALSE(Host.empty());
+    ASSERT_FALSE(Cuda.empty());
+    std::ofstream(HostPath) << Host;
+    std::ofstream(CudaPath) << Cuda;
     EXPECT_EQ(std::system((Cc + Flags + HostPath).c_str()), 0) << HostPath;
     for (const char *Lang : {"c", "c++"})
       EXPECT_EQ(std::system((Cc + Flags + "-x " + Lang + " -include " + Dir +
